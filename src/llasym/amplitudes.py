@@ -32,7 +32,7 @@ from scipy.special import gamma as _gamma
 from .dressing import DressedSet, QuadGrid
 from .excitations import ShiftFn, special_shift, SPACE_LIKE, TIME_LIKE
 from .model import lieb_kernel
-from .specfun import barnes_g_log, c0_double_integral, log_kappa
+from .specfun import barnes_g_log, c0_double_integral, cauchy_segment, log_kappa
 
 
 class ResonanceError(ValueError):
@@ -171,13 +171,6 @@ def _antisymmetric_double_integral(nu: ShiftFn, dressed: DressedSet) -> float:
 # smooth part
 # ----------------------------------------------------------------------
 
-def _cauchy_segment(values_on_grid: np.ndarray, grid: QuadGrid, z: np.ndarray) -> np.ndarray:
-    """int_{-q}^{q} f(mu) / (mu - z) dmu for z away from the segment (vectorized)."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = ((grid.weights * values_on_grid)[None, :] / (grid.nodes[None, :] - z[:, None])).sum(axis=1)
-    return out
-
-
 def fredholm_det_contour(prefactor: np.ndarray, kernel_matrix: np.ndarray, weights: np.ndarray) -> complex:
     """det(I + V) with V(w_j, w_k) = prefactor(w_j) kernel(w_j, w_k), measure dw."""
     n = len(weights)
@@ -231,7 +224,7 @@ def smooth_part_G(
 
     # prefactors built from Cauchy transforms at q + e ic, mu + e ic
     def c_transform(z):
-        return _cauchy_segment(nu_grid, grid, z) / (2j * np.pi)
+        return cauchy_segment(nu_grid, grid, z) / (2j * np.pi)
 
     log_pref = -2j * np.pi * np.sum(c_transform(np.array([q + 1j * c, q - 1j * c])))
     for mp, mh in zip(particles, holes):
@@ -261,19 +254,17 @@ def smooth_part_G(
     if np.min(np.abs(res_m)) < resonance_tol or np.min(np.abs(res_p)) < resonance_tol:
         raise ResonanceError("e^{+-2 i pi nu(w)} - 1 vanishes on the contour")
 
-    rat_v = np.ones_like(omega)
-    rat_vbar = np.ones_like(omega)
-    for mp, mh in zip(particles, holes):
-        rat_v = rat_v * (omega - mp) * (omega - mh + 1j * c) / ((omega - mh) * (omega - mp + 1j * c))
-        rat_vbar = rat_vbar * (omega - mp) * (omega - mh - 1j * c) / ((omega - mh) * (omega - mp - 1j * c))
-
-    pre_v = (-1.0 / (2.0 * np.pi)) * (omega - q) / (omega - q + 1j * c) * rat_v \
-        * np.exp(c2_omega - c2_up) / res_m
-    pre_vbar = (1.0 / (2.0 * np.pi)) * (omega - q) / (omega - q - 1j * c) * rat_vbar \
-        * np.exp(c2_omega - c2_dn) / res_p
     kmat = lieb_kernel(omega[:, None] - omega[None, :], params)
-    det_v = fredholm_det_contour(pre_v, kmat, w)
-    det_vbar = fredholm_det_contour(pre_vbar, kmat, w)
+    dets = []
+    for eps, c2_shift, res in ((+1.0, c2_up, res_m), (-1.0, c2_dn, res_p)):  # V, then Vbar
+        ic = eps * 1j * c
+        rat = np.ones_like(omega)
+        for mp, mh in zip(particles, holes):
+            rat = rat * (omega - mp) * (omega - mh + ic) / ((omega - mh) * (omega - mp + ic))
+        pre = (-eps / (2.0 * np.pi)) * (omega - q) / (omega - q + ic) * rat \
+            * np.exp(c2_omega - c2_shift) / res
+        dets.append(fredholm_det_contour(pre, kmat, w))
+    det_v, det_vbar = dets
 
     return complex(np.exp(log_pref) * det_v * det_vbar / dressed.det_IK**2)
 

@@ -28,14 +28,12 @@ from .amplitudes import ContourSpec, amplitude
 from .dressing import DressedSet, dress_all
 from .excitations import (
     SPACE_LIKE,
-    HarmonicEntry,
     find_saddle,
     harmonic_table,
     special_shift,
     u_combination,
     u_d2,
 )
-from .model import ModelParams
 
 
 class LightConeError(ValueError):
@@ -115,7 +113,6 @@ def assemble_expansion(
     else:
         dressed = dress_all(params_or_dressed, n_nodes=n_nodes)
     lam0, regime = find_saddle(ratio_t_over_x, dressed)
-    q = dressed.q
 
     nu_sad = special_shift("saddle", dressed, lam0)
     nu_mq = special_shift("minus_q", dressed)
@@ -163,14 +160,13 @@ def assemble_expansion(
 
     harmonics = []
     for entry in harmonic_table(max_abs_ell, dressed, lam0, regime, ratio_t_over_x):
-        dp_sq, dm_sq, extra = _harmonic_split(entry, dressed, lam0)
         harmonics.append(
             AsymptoticTerm(
                 label=f"harmonic({entry.ell_plus:+d},{entry.ell_minus:+d})",
                 frequency=entry.frequency,
-                exponent_plus=dp_sq,
-                exponent_minus=dm_sq,
-                extra_power=extra,
+                exponent_plus=entry.exponent_plus,
+                exponent_minus=entry.exponent_minus,
+                extra_power=entry.extra_power,
                 amplitude=None,
                 active=False,
             )
@@ -188,25 +184,6 @@ def assemble_expansion(
         p_d1_at_lambda0=float(dressed.p_d1(lam0)),
     )
     return report
-
-
-def _harmonic_split(entry: HarmonicEntry, dressed: DressedSet, lam0: float):
-    """Split a harmonic's exponent into the (x - vF t), (x + vF t) and pure-x parts."""
-    lp, lm = entry.ell_plus, entry.ell_minus
-    q = dressed.q
-    dp = (
-        -0.5 * float(dressed.Z(q))
-        - lm * float(dressed.phi(q, -q))
-        - (lp + 1) * float(dressed.phi(q, q))
-        + (lp + lm) * float(dressed.phi(q, lam0))
-    )
-    dm = (
-        -0.5 * float(dressed.Z(-q))
-        - lm * float(dressed.phi(-q, -q))
-        - (lp + 1) * float(dressed.phi(-q, q))
-        + (lp + lm) * float(dressed.phi(-q, lam0))
-    )
-    return (1.0 + lp + dp) ** 2, (dm - lm) ** 2, 0.5 * abs(lp + lm)
 
 
 @dataclass(frozen=True)

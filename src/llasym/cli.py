@@ -25,6 +25,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -128,18 +129,12 @@ _FLOAT_KEYS = ("c", "h", "ratio_t_over_x", "perturb")
 _INT_KEYS = ("n_nodes", "contour_nodes", "max_abs_ell")
 
 
-def _as_float(key: str, val: str) -> float:
+def _as_number(kind: type, key: str, val: str):
     try:
-        return float(val)
+        return kind(val)
     except ValueError:
-        raise ConfigError(f"config key {key} needs a real number, got {val!r}") from None
-
-
-def _as_int(key: str, val: str) -> int:
-    try:
-        return int(val)
-    except ValueError:
-        raise ConfigError(f"config key {key} needs an integer, got {val!r}") from None
+        what = "an integer" if kind is int else "a real number"
+        raise ConfigError(f"config key {key} needs {what}, got {val!r}") from None
 
 
 def _parse_eval_points(text: str) -> tuple:
@@ -152,7 +147,7 @@ def _parse_eval_points(text: str) -> tuple:
         parts = chunk.split(":")
         if len(parts) != 2:
             raise ConfigError(f"bad eval point {chunk!r}, expected x:t")
-        pts.append((_as_float("eval_points", parts[0]), _as_float("eval_points", parts[1])))
+        pts.append(tuple(_as_number(float, "eval_points", part) for part in parts))
     return tuple(pts)
 
 
@@ -180,9 +175,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     raw = load_config_file(args.config) if args.config else {}
     for key, val in raw.items():
         if key in _FLOAT_KEYS:
-            cfg = replace(cfg, **{key: _as_float(key, val)})
+            cfg = replace(cfg, **{key: _as_number(float, key, val)})
         elif key in _INT_KEYS:
-            cfg = replace(cfg, **{key: _as_int(key, val)})
+            cfg = replace(cfg, **{key: _as_number(int, key, val)})
         elif key == "eval_points":
             cfg = replace(cfg, eval_points=_parse_eval_points(val))
         elif key == "output_path":
@@ -422,211 +417,166 @@ def cmd_asymptotics(cfg: RunConfig) -> str:
 
 
 # ----------------------------------------------------------------------
-# verify
+# check registry, shared by `verify` and tests/test_acceptance.py
 # ----------------------------------------------------------------------
 
-def _singsum_instance(w: int) -> "fflab.FFLabInstance":
-    # quadratic phase with x small enough that e^{ixu} stays box-bounded
-    # relative to the window growth (x * 2 tau * b_right < L)
-    return fflab.FFLabInstance(
-        N=2,
-        L=20.0,
-        w=w,
-        xi=fflab.AffineCounting(1.0 / (2.0 * np.pi), 0.5),
-        nu=fflab.NuFunction("const", 0.0),
-        phase=fflab.QuadraticPhase(2.0, 0.1),
+@dataclass(frozen=True)
+class Check:
+    """An identity that holds when residual(*inputs) < tol.
+
+    `inputs` names the bound values the residual takes, in argument order
+    (see `verify_inputs`); `what` names the residual in the report line.
+    """
+
+    name: str
+    tol: float
+    what: str
+    residual: Callable[..., float]
+    inputs: tuple = ()
+
+    def run(self, bound: dict) -> tuple:
+        """(passed, report line) with the inputs taken from `bound`."""
+        resid = float(self.residual(*(bound[key] for key in self.inputs)))
+        ok = resid < self.tol
+        return ok, f"{'PASS' if ok else 'FAIL'} {self.name}: {self.what} {resid:.3e} (tol {self.tol:.0e})"
+
+
+def _rel_err(value, reference) -> float:
+    return abs(value - reference) / abs(reference)
+
+
+def _z_phi_residual(d, perturb: float) -> float:
+    """Z(lam) = 1 + phi(lam, -q) - phi(lam, q), worst over the nodes."""
+    nodes = d.grid.nodes
+    z_vals = d.Z(nodes) + perturb
+    return float(np.max(np.abs(z_vals - 1.0 - d.phi(nodes, -d.q) + d.phi(nodes, d.q))))
+
+
+def _z_boundary_residual(d, perturb: float) -> float:
+    """1/Z(q) = 1 + phi(-q, q) - phi(q, q)."""
+    q = d.q
+    zq = float(d.Z(q)) + perturb
+    return abs(1.0 / zq - 1.0 - float(d.phi(-q, q)) + float(d.phi(q, q)))
+
+
+def _exponent_deviation(d, kind: str, offsets: tuple, expected: tuple) -> float:
+    ep, em = critical_exponent_pair(special_shift(kind, d), *offsets)
+    return max(abs(ep - expected[0]), abs(em - expected[1]))
+
+
+def _xn_residual() -> float:
+    """Exhaustive particle-hole sum against its finite determinant."""
+    return max(
+        _rel_err(fflab.xn_bruteforce(inst), fflab.xn_determinant(inst))
+        for inst in fflab.standard_matrix()
     )
 
 
-def _lagrange_cases() -> list:
-    """(name, phis, f, order-8 tolerance) triples for the verify suite."""
+_SINGSUM_POINTS = tuple(np.pi * (a + 0.5) / 10.0 for a in (-7, -2, 0, 3, 9))
+
+
+def _singsum_closure() -> float:
+    inst = fflab.singular_sum_instance(40)
+    return max(fflab.singular_sum(inst, r, lam).residual for r in (0, 1, 2) for lam in _SINGSUM_POINTS)
+
+
+def _singsum_scaling() -> float:
+    """|log2(I1(w=40)/I1(w=80)) - 2|.
+
+    The remainder falls as w^-(k+r-1) = w^-2 (quadratic phase k = 2, r = 1),
+    so doubling the window divides it by 4; tolerance 1 is the open band
+    (2, 8) for the ratio.
+    """
+    i40, i80 = (
+        abs(fflab.singular_sum(fflab.singular_sum_instance(w), 1, _SINGSUM_POINTS[0]).remainder_closure)
+        for w in (40, 80)
+    )
+    return abs(np.log2(i40 / i80) - 2.0)
+
+
+# (phis, f) of the fixed-point maps: constant, geometric, coupled pair
+_LAGRANGE_MAPS = (
+    ([lambda a: 0.4 + 0.0 * a], lambda a: 1.0 + 2.0 * a),
+    ([lambda a: 0.1 * a], np.exp),
+    ([lambda a, b: 0.1 + 0.05 * b, lambda a, b: 0.2 + 0.05 * a], lambda a, b: np.exp(0.5 * (a + b))),
+)
+
+
+def _lagrange_residual() -> float:
+    return max(
+        _rel_err(fflab.lagrange_series(phis, f, max_order=8)[8], fflab.lagrange_closed_form(phis, f))
+        for phis, f in _LAGRANGE_MAPS
+    )
+
+
+def term_amplitudes(d, ratio: float, contour_nodes: int) -> list:
+    """Amplitudes of the empty, minus_q and saddle terms on the default contour."""
+    lam0, regime = find_saddle(ratio, d)
+    contour = default_contour(d, contour_nodes)
     return [
-        (
-            "constant_map",
-            [lambda a: 0.4 + 0.0 * a],
-            lambda a: 1.0 + 2.0 * a,
-            1e-12,
-        ),
-        (
-            "geometric_map",
-            [lambda a: 0.1 * a],
-            np.exp,
-            1e-8,
-        ),
-        (
-            "coupled_pair",
-            [lambda a, b: 0.1 + 0.05 * b, lambda a, b: 0.2 + 0.05 * a],
-            lambda a, b: np.exp(0.5 * (a + b)),
-            1e-8,
-        ),
+        amplitude(kind, d, lambda0=lam0, regime=regime, contour=contour)
+        for kind in ("empty", "minus_q", "saddle")
     ]
 
 
-def _verify_checks(cfg: RunConfig) -> list:
-    """Run the suite; returns (name, passed, detail) triples."""
-    checks = []
-    d11 = None
+def _tonks_amplitude_residual(d, contour_nodes: int) -> float:
+    value = amplitude("empty", d, contour=default_contour(d, contour_nodes)).value
+    return _rel_err(value, float(np.pi * np.exp(4.0 * barnes_g_log(0.5)) * np.sqrt(d.q / 2.0)))
 
-    # dressed-charge <-> dressed-phase identities (perturbable)
-    for cc, hh in ((1.0, 1.0), (4.0, 1.0), (16.0, 2.0)):
-        d = dress_all(ModelParams(c=cc, h=hh), n_nodes=cfg.n_nodes)
-        q = d.q
-        nodes = d.grid.nodes
-        z_vals = d.Z(nodes) + cfg.perturb
-        resid = float(np.max(np.abs(z_vals - 1.0 - d.phi(nodes, -q) + d.phi(nodes, q))))
-        checks.append(
-            (
-                f"Z_phi_identity(c={cc:g},h={hh:g})",
-                resid < 1e-7,
-                f"max node residual {resid:.3e} (tol 1e-07)",
-            )
-        )
-        if (cc, hh) == (1.0, 1.0):
-            d11 = d
-            zq = float(d.Z(q)) + cfg.perturb
-            resid_b = abs(1.0 / zq - 1.0 - float(d.phi(-q, q)) + float(d.phi(q, q)))
-            checks.append(
-                (
-                    "Z_boundary_inverse(c=1,h=1)",
-                    resid_b < 1e-7,
-                    f"residual {resid_b:.3e} (tol 1e-07)",
-                )
-            )
 
-    # impenetrable-limit reductions
-    d6 = dress_all(ModelParams(c=1e6, h=1.0), n_nodes=cfg.n_nodes)
-    dev_q = abs(d6.q - 1.0)
-    checks.append(
-        ("tonks_fermi_boundary", dev_q < 1e-5, f"|q - 1| = {dev_q:.3e} (tol 1e-05)")
-    )
-    dev_z = float(np.max(np.abs(d6.Z(d6.grid.nodes) - 1.0)))
-    checks.append(
-        ("tonks_dressed_charge", dev_z < 1e-5, f"max |Z - 1| = {dev_z:.3e} (tol 1e-05)")
-    )
-    dev_v = abs(d6.vF - 2.0)
-    checks.append(
-        ("tonks_fermi_velocity", dev_v < 1e-4, f"|vF - 2| = {dev_v:.3e} (tol 1e-04)")
-    )
-    ep, em = critical_exponent_pair(special_shift("empty", d6), 1.0, 0.0)
-    dev_e = max(abs(ep - 0.25), abs(em - 0.25))
-    checks.append(
-        (
-            "tonks_exponents_zero_freq",
-            dev_e < 1e-5,
-            f"({ep:.6f}, {em:.6f}) vs (0.25, 0.25), worst dev {dev_e:.3e} (tol 1e-05)",
-        )
-    )
-    ep2, em2 = critical_exponent_pair(special_shift("minus_q", d6), 0.0, -1.0)
-    dev_e2 = max(abs(ep2 - 0.25), abs(em2 - 2.25))
-    checks.append(
-        (
-            "tonks_exponents_two_pF",
-            dev_e2 < 1e-4,
-            f"({ep2:.6f}, {em2:.6f}) vs (0.25, 2.25), worst dev {dev_e2:.3e} (tol 1e-04)",
-        )
-    )
+CHECKS = {check.name: check for check in (
+    Check("Z_phi_identity(c=1,h=1)", 1e-7, "max node residual", _z_phi_residual, ("d11", "perturb")),
+    Check("Z_boundary_inverse(c=1,h=1)", 1e-7, "residual", _z_boundary_residual, ("d11", "perturb")),
+    Check("Z_phi_identity(c=4,h=1)", 1e-7, "max node residual", _z_phi_residual, ("d41", "perturb")),
+    Check("Z_phi_identity(c=16,h=2)", 1e-7, "max node residual", _z_phi_residual, ("d162", "perturb")),
+    Check("tonks_fermi_boundary", 1e-5, "|q - 1|", lambda d: abs(d.q - 1.0), ("tonks",)),
+    Check("tonks_dressed_charge", 1e-5, "max |Z - 1|",
+          lambda d: np.max(np.abs(d.Z(d.grid.nodes) - 1.0)), ("tonks",)),
+    Check("tonks_fermi_velocity", 1e-4, "|vF - 2|", lambda d: abs(d.vF - 2.0), ("tonks",)),
+    Check("tonks_exponents_zero_freq", 1e-5, "worst deviation from (1/4, 1/4)",
+          lambda d: _exponent_deviation(d, "empty", (1.0, 0.0), (0.25, 0.25)), ("tonks",)),
+    Check("tonks_exponents_two_pF", 1e-4, "worst deviation from (1/4, 9/4)",
+          lambda d: _exponent_deviation(d, "minus_q", (0.0, -1.0), (0.25, 2.25)), ("tonks",)),
+    Check("xn_sum_vs_determinant", 1e-10, "12 instances, worst rel err", _xn_residual),
+    Check("singular_sum_closure", 1e-8, "r in {0,1,2} at 5 points, worst residual", _singsum_closure),
+    Check("singular_sum_tail_scaling", 1.0, "|log2(I1(w=40)/I1(w=80)) - 2|", _singsum_scaling),
+    Check("lagrange_order8", 1e-8, "three maps, worst |S_8 - closed|/|closed|", _lagrange_residual),
+    Check("amplitude_phase_residual(c=1,h=1)", 1e-6, "worst |Im|/Re",
+          lambda amps: max(res.phase_residual / abs(res.value) for res in amps), ("amps",)),
+    Check("tonks_amplitude_closed_form", 1e-4, "rel err vs pi G(1/2)^4 sqrt(q/2)",
+          _tonks_amplitude_residual, ("tonks", "contour_nodes")),
+)}
 
-    # exhaustive particle-hole sum vs finite determinant
-    worst_xn = 0.0
-    for inst in fflab.standard_matrix():
-        brute = fflab.xn_bruteforce(inst)
-        det = fflab.xn_determinant(inst)
-        worst_xn = max(worst_xn, abs(brute - det) / max(abs(brute), 1e-300))
-    checks.append(
-        (
-            "xn_sum_vs_determinant",
-            worst_xn < 1e-10,
-            f"12 instances, worst rel err {worst_xn:.3e} (tol 1e-10)",
-        )
-    )
+# Run by the acceptance gate only: it re-dresses at 192 nodes and re-assembles on
+# a 512-node contour, work that `verify` does not do.
+NODE_DOUBLING = Check(
+    "amplitude_node_doubling", 1e-6, "worst rel change",
+    lambda amps, fine: max(_rel_err(f.value, a.value) for a, f in zip(amps, fine)), ("amps", "amps_fine"),
+)
 
-    # singular-sum residue closure and tail scaling
-    inst40 = _singsum_instance(40)
-    inst80 = _singsum_instance(80)
-    lams = [np.pi * (a + 0.5) / 10.0 for a in (-7, -2, 0, 3, 9)]
-    worst_ss = max(
-        fflab.singular_sum(inst40, r, lam).residual for r in (0, 1, 2) for lam in lams
-    )
-    checks.append(
-        (
-            "singular_sum_closure",
-            worst_ss < 1e-8,
-            f"r in {{0,1,2}} at 5 points, worst residual {worst_ss:.3e} (tol 1e-08)",
-        )
-    )
-    lam_t = lams[2]
-    i40 = abs(fflab.singular_sum(inst40, 1, lam_t).remainder_quadrature)
-    i80 = abs(fflab.singular_sum(inst80, 1, lam_t).remainder_quadrature)
-    ratio = i40 / i80
-    predicted = (80.0 / 40.0) ** 2  # (w2/w1)^(k+r-1), quadratic phase k=2, r=1
-    ok_ss = predicted / 2.0 <= ratio <= predicted * 2.0
-    checks.append(
-        (
-            "singular_sum_tail_scaling",
-            ok_ss,
-            f"|I1(w=40)|/|I1(w=80)| = {ratio:.3f}, predicted {predicted:.1f} within x2",
-        )
-    )
+# dressed-set inputs of the registry and their couplings (c, h)
+_VERIFY_COUPLINGS = {"d11": (1.0, 1.0), "d41": (4.0, 1.0), "d162": (16.0, 2.0), "tonks": (1e6, 1.0)}
 
-    # Lagrange series vs fixed-point closed form
-    worst_lag = 0.0
-    for name, phis, f, tol in _lagrange_cases():
-        sums = fflab.lagrange_series(phis, f, max_order=8)
-        closed = fflab.lagrange_closed_form(phis, f)
-        worst_lag = max(worst_lag, abs(sums[-1] - closed) / max(abs(closed), 1e-300))
-    checks.append(
-        (
-            "lagrange_order8",
-            worst_lag < 1e-8,
-            f"three maps, worst |S_8 - closed|/|closed| = {worst_lag:.3e} (tol 1e-08)",
-        )
-    )
 
-    # amplitude assembly sanity at c=1
-    lam0, regime = find_saddle(cfg.ratio_t_over_x, d11)
-    contour = default_contour(d11, cfg.contour_nodes)
-    worst_ph = 0.0
-    for kind in ("empty", "minus_q", "saddle"):
-        res = amplitude(
-            kind,
-            d11,
-            lambda0=lam0 if kind == "saddle" else None,
-            regime=regime if kind == "saddle" else None,
-            contour=contour,
-        )
-        worst_ph = max(worst_ph, res.phase_residual / abs(res.value))
-    checks.append(
-        (
-            "amplitude_phase_residual(c=1,h=1)",
-            worst_ph < 1e-6,
-            f"three kinds, worst residual/value = {worst_ph:.3e} (tol 1e-06)",
-        )
-    )
-
-    # impenetrable-limit closed form for the non-oscillating amplitude
-    c6 = default_contour(d6, cfg.contour_nodes)
-    a_empty = amplitude("empty", d6, contour=c6).value
-    closed6 = float(np.pi * np.exp(4.0 * barnes_g_log(0.5)) * np.sqrt(d6.q / 2.0))
-    rel6 = abs(a_empty - closed6) / closed6
-    checks.append(
-        (
-            "tonks_amplitude_closed_form",
-            rel6 < 1e-4,
-            f"rel err {rel6:.3e} vs pi G(1/2)^4 sqrt(q/2) (tol 1e-04)",
-        )
-    )
-    return checks
+def verify_inputs(cfg: RunConfig) -> dict:
+    """The registry's inputs at the verify couplings."""
+    bound = {
+        key: dress_all(ModelParams(c=c, h=h), n_nodes=cfg.n_nodes)
+        for key, (c, h) in _VERIFY_COUPLINGS.items()
+    }
+    amps = term_amplitudes(bound["d11"], cfg.ratio_t_over_x, cfg.contour_nodes)
+    return {**bound, "amps": amps, "perturb": cfg.perturb, "contour_nodes": cfg.contour_nodes}
 
 
 def cmd_verify(cfg: RunConfig) -> tuple:
-    checks = _verify_checks(cfg)
+    bound = verify_inputs(cfg)
+    results = [check.run(bound) for check in CHECKS.values()]
     lines = ["# llasym verify"]
     if cfg.perturb != 0.0:
         lines.append(f"# perturb = {_g(cfg.perturb)} (added to Z before identity checks)")
-    for name, ok, detail in checks:
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    n_fail = sum(1 for _, ok, _ in checks if not ok)
-    lines.append(f"# checks = {len(checks)}, failures = {n_fail}")
+    lines += [line for _, line in results]
+    n_fail = sum(1 for ok, _ in results if not ok)
+    lines.append(f"# checks = {len(results)}, failures = {n_fail}")
     return "\n".join(lines) + "\n", (EXIT_OK if n_fail == 0 else EXIT_VERIFY)
 
 

@@ -9,7 +9,7 @@ with the kernel K(lam) = 2c/(lam^2 + c^2) and smooth drivings:
     p'  :  g = 1                      (dressed momentum, via its derivative)
     eps :  g = lam^2 - h              (dressed energy)
     eps':  g = 2 lam                  (valid because eps(+-q) = 0)
-    Z   :  g = 1                      (dressed charge)
+    Z   :  g = 1                      (dressed charge: Z = p', the same solve)
     phi(.,mu): g = theta(lam-mu)/2pi  (dressed phase, mu a parameter)
 
 Gauss-Legendre nodes mapped to [-q, q] give spectral accuracy for these
@@ -86,28 +86,23 @@ class SecondKindSolution:
     driving_d1: Callable | None = None
     driving_d2: Callable | None = None
 
-    def __call__(self, z):
+    def _extend(self, z, kernel, driving):
+        """driving(z) + (1/2pi) sum_k w_k kernel(z - lam_k) f_k; a missing driving is 0."""
         _check_strip(z, self.params.c)
         z = np.asarray(z)
-        kz = lieb_kernel(z[..., None] - self.grid.nodes, self.params)
-        out = self.driving(z) + (kz * self.grid.weights) @ self.values / (2.0 * np.pi)
+        kz = kernel(z[..., None] - self.grid.nodes, self.params)
+        g = driving(z) if driving is not None else 0.0
+        out = g + (kz * self.grid.weights) @ self.values / (2.0 * np.pi)
         return out[()] if out.ndim == 0 else out
+
+    def __call__(self, z):
+        return self._extend(z, lieb_kernel, self.driving)
 
     def d1(self, z):
-        _check_strip(z, self.params.c)
-        z = np.asarray(z)
-        kz = lieb_kernel_d1(z[..., None] - self.grid.nodes, self.params)
-        g1 = self.driving_d1(z) if self.driving_d1 is not None else 0.0
-        out = g1 + (kz * self.grid.weights) @ self.values / (2.0 * np.pi)
-        return out[()] if out.ndim == 0 else out
+        return self._extend(z, lieb_kernel_d1, self.driving_d1)
 
     def d2(self, z):
-        _check_strip(z, self.params.c)
-        z = np.asarray(z)
-        kz = lieb_kernel_d2(z[..., None] - self.grid.nodes, self.params)
-        g2 = self.driving_d2(z) if self.driving_d2 is not None else 0.0
-        out = g2 + (kz * self.grid.weights) @ self.values / (2.0 * np.pi)
-        return out[()] if out.ndim == 0 else out
+        return self._extend(z, lieb_kernel_d2, self.driving_d2)
 
 
 def nystrom_matrix(grid: QuadGrid, params: ModelParams) -> np.ndarray:
@@ -149,20 +144,6 @@ class NystromOperator:
             driving_d1=driving_d1,
             driving_d2=driving_d2,
         )
-
-
-def solve_second_kind(
-    driving: Callable,
-    q: float,
-    grid: QuadGrid,
-    params: ModelParams,
-    driving_d1: Callable | None = None,
-    driving_d2: Callable | None = None,
-) -> SecondKindSolution:
-    """Solve f - K f/2pi = g on [-q, q] for one driving; see NystromOperator for reuse."""
-    if abs(grid.q - q) > 1e-12 * max(1.0, abs(q)):
-        raise ValueError(f"grid was built for q={grid.q}, not q={q}")
-    return NystromOperator(grid, params).solve(driving, driving_d1, driving_d2)
 
 
 def _eps_at_q(q: float, params: ModelParams, n_nodes: int) -> float:
@@ -220,7 +201,6 @@ class DressedSet:
     p_d1_sol: SecondKindSolution
     eps_sol: SecondKindSolution
     eps_d1_sol: SecondKindSolution
-    Z_sol: SecondKindSolution
     det_IK: float
     pF: float = field(init=False)
     D: float = field(init=False)
@@ -259,12 +239,9 @@ class DressedSet:
     def eps_d2(self, z):
         return self.eps_d1_sol.d1(z)
 
-    # -- dressed charge ----------------------------------------------------
-    def Z(self, z):
-        return self.Z_sol(z)
-
-    def Z_d1(self, z):
-        return self.Z_sol.d1(z)
+    # -- dressed charge: Z = p' (the same equation, driving 1) ---------------
+    Z = p_d1
+    Z_d1 = p_d2
 
     # -- dressed phase ------------------------------------------------------
     def _phi_sol(self, mu) -> SecondKindSolution:
@@ -307,7 +284,6 @@ def dress_all(params: ModelParams, n_nodes: int = 96, tol: float = 1e-10) -> Dre
         lambda lam: 2.0 * lam,
         driving_d1=lambda lam: 2.0 * np.ones_like(np.asarray(lam)),
     )
-    Z_sol = op.solve(one)
     det_IK = float(np.linalg.det(op.matrix))
     return DressedSet(
         params=params,
@@ -317,26 +293,6 @@ def dress_all(params: ModelParams, n_nodes: int = 96, tol: float = 1e-10) -> Dre
         p_d1_sol=p_d1_sol,
         eps_sol=eps_sol,
         eps_d1_sol=eps_d1_sol,
-        Z_sol=Z_sol,
         det_IK=det_IK,
     )
 
-
-def resolvent(dressed: DressedSet):
-    """R with (I - K/2pi)(I + R/2pi) = I: R_ij = 2pi (A^{-1} - I)_ij / w_j.
-
-    Returns (matrix, evaluator); R is symmetric to quadrature accuracy and
-    the evaluator extends the first argument off-grid via
-    R(z, mu_j) = K(z - mu_j) + (1/2pi) sum_k w_k K(z - lam_k) R(lam_k, mu_j).
-    """
-    A = dressed.op.matrix
-    Ainv = np.linalg.inv(A)
-    R = 2.0 * np.pi * (Ainv - np.eye(dressed.grid.n_nodes)) / dressed.grid.weights[None, :]
-
-    def evaluator(z, j: int):
-        kz = lieb_kernel(np.asarray(z)[..., None] - dressed.grid.nodes, dressed.params)
-        return lieb_kernel(z - dressed.grid.nodes[j], dressed.params) + (
-            (kz * dressed.grid.weights) @ R[:, j] / (2.0 * np.pi)
-        )
-
-    return R, evaluator

@@ -26,7 +26,7 @@ and the exponent (1 + l+ + D+)^2 + (D- - l-)^2 + |l+ + l-|/2 with
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,10 +58,6 @@ class Excitation:
     particles: tuple
     holes: tuple
 
-    @staticmethod
-    def make(particles=(), holes=()) -> "Excitation":
-        return Excitation(tuple(float(z) for z in particles), tuple(float(z) for z in holes))
-
 
 @dataclass
 class ShiftFn:
@@ -76,23 +72,19 @@ class ShiftFn:
             if not (-q - 1e-12 <= z <= q + 1e-12):
                 raise ValueError(f"hole rapidity {z} outside [-q, q] = [{-q}, {q}]")
 
-    def __call__(self, lam):
-        d = self.dressed
-        out = -0.5 * d.Z(lam)
+    def _combine(self, lam, charge, phase):
+        out = -0.5 * charge(lam)
         for z in self.excitation.particles:
-            out = out - d.phi(lam, z)
+            out = out - phase(lam, z)
         for z in self.excitation.holes:
-            out = out + d.phi(lam, z)
+            out = out + phase(lam, z)
         return out
 
+    def __call__(self, lam):
+        return self._combine(lam, self.dressed.Z, self.dressed.phi)
+
     def d1(self, lam):
-        d = self.dressed
-        out = -0.5 * d.Z_d1(lam)
-        for z in self.excitation.particles:
-            out = out - d.phi_d1(lam, z)
-        for z in self.excitation.holes:
-            out = out + d.phi_d1(lam, z)
-        return out
+        return self._combine(lam, self.dressed.Z_d1, self.dressed.phi_d1)
 
     @cached_property
     def at_q(self) -> float:
@@ -233,11 +225,18 @@ def critical_exponent_pair(nu: ShiftFn, plus_offset: float, minus_offset: float)
 
 @dataclass(frozen=True)
 class HarmonicEntry:
+    """One harmonic: x^{-exponent} split into its (x - vF t), (x + vF t) and pure-x powers."""
+
     ell_plus: int
     ell_minus: int
     frequency: float
-    exponent: float
-    amplitude_known: bool = False
+    exponent_plus: float
+    exponent_minus: float
+    extra_power: float
+
+    @property
+    def exponent(self) -> float:
+        return self.exponent_plus + self.exponent_minus + self.extra_power
 
 
 def harmonic_table(
@@ -274,7 +273,8 @@ def harmonic_table(
                 continue
             dp = -0.5 * Zq - lm * phi_q[-q] - (lp + 1) * phi_q[q] + (lp + lm) * phi_q[lambda0]
             dm = -0.5 * Zmq - lm * phi_mq[-q] - (lp + 1) * phi_mq[q] + (lp + lm) * phi_mq[lambda0]
-            delta = (1.0 + lp + dp) ** 2 + (dm - lm) ** 2 + 0.5 * abs(lp + lm)
             freq = lp * uq + lm * umq - (lp + lm) * ul0
-            out.append(HarmonicEntry(lp, lm, freq, delta))
+            out.append(
+                HarmonicEntry(lp, lm, freq, (1.0 + lp + dp) ** 2, (dm - lm) ** 2, 0.5 * abs(lp + lm))
+            )
     return out

@@ -11,6 +11,7 @@ from .instances import (
     FFLabInstance,
     NuFunction,
     QuadraticPhase,
+    singular_sum_instance,
     standard_matrix,
 )
 from .discrete import (
@@ -36,6 +37,7 @@ __all__ = [
     "FFLabInstance",
     "NuFunction",
     "QuadraticPhase",
+    "singular_sum_instance",
     "standard_matrix",
     "CoincidentRapidityError",
     "EnumerationSizeError",

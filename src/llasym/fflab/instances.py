@@ -9,7 +9,7 @@ in the window [-w, w]; shifted points lam_k solve L*xi(lam_k) + nu(lam_k)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -81,8 +81,8 @@ class NuFunction:
 class QuadraticPhase:
     """Weight E(z)^(-2) = exp(i*x*(z - tau*z^2)).
 
-    log_inv_sq is the logarithm of the inverse square weight; e_sq is the
-    square weight itself.  tau > 0 puts the stationary point of the phase
+    log_inv_sq is the logarithm of the inverse square weight, e_inv_sq the
+    weight itself.  tau > 0 puts the stationary point of the phase
     at 1/(2*tau) on the real line, which is where descending contours
     cross the axis.
     """
@@ -104,9 +104,6 @@ class QuadraticPhase:
 
     def e_inv_sq(self, z):
         return np.exp(self.log_inv_sq(z))
-
-    def e_sq(self, z):
-        return np.exp(-self.log_inv_sq(z))
 
     @property
     def knee(self) -> float:
@@ -192,3 +189,14 @@ def standard_matrix() -> list[FFLabInstance]:
                 out.append(FFLabInstance(N=N, L=10.0, w=w, xi=xi,
                                          nu=NuFunction(kind, 0.1), phase=phase))
     return out
+
+
+def singular_sum_instance(w: int) -> FFLabInstance:
+    """The singular-sum check instance with window half-width w.
+
+    N = 2, L = 20, nu = 0, and a quadratic phase with x small enough that
+    e^{ixu} stays box-bounded relative to the window growth
+    (x * 2 tau * b_right < L).
+    """
+    return FFLabInstance(N=2, L=20.0, w=w, xi=AffineCounting(slope=1.0 / (2.0 * np.pi), offset=0.5),
+                         nu=NuFunction("const", 0.0), phase=QuadraticPhase(x=2.0, tau=0.1))

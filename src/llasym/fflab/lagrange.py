@@ -13,8 +13,6 @@ r_j/2, so no symbolic differentiation is ever needed.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 __all__ = [

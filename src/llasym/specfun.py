@@ -88,6 +88,16 @@ def kappa(nu, lam, grid: QuadGrid) -> complex:
     return complex(np.exp(log_kappa(nu, lam, grid)))
 
 
+def cauchy_segment(values_on_grid: np.ndarray, grid: QuadGrid, z) -> np.ndarray:
+    """int_{-q}^{q} f(mu) / (mu - z) dmu at each z, from f's values on the grid.
+
+    Vectorized over z; the points must stay away from the segment [-q, q]
+    (`cauchy_transform` checks this for one point).
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    return ((grid.weights * values_on_grid)[None, :] / (grid.nodes[None, :] - z[:, None])).sum(axis=1)
+
+
 def cauchy_transform(nu, lam, grid: QuadGrid):
     """C[nu](lam) = (2 i pi)^{-1} int_{-q}^{q} nu(mu) / (mu - lam) dmu.
 
@@ -101,8 +111,7 @@ def cauchy_transform(nu, lam, grid: QuadGrid):
         dist = min(abs(lam - q), abs(lam + q))
     if dist < 1e-3 * q:
         raise ValueError(f"cauchy_transform: lam = {lam} within 1e-3 q of [-q, q]")
-    integral = np.dot(grid.weights, np.asarray(nu(grid.nodes)) / (grid.nodes - lam))
-    return integral / (2j * np.pi)
+    return cauchy_segment(np.asarray(nu(grid.nodes)), grid, lam)[0] / (2j * np.pi)
 
 
 def c0_double_integral(nu, grid: QuadGrid, c: float) -> complex:

@@ -1,41 +1,28 @@
-"""Acceptance gate: one check per shipped guarantee, one PASS/FAIL line each.
+"""Acceptance gate: one test per shipped guarantee, with PASS/FAIL lines.
 
-Run with  python3 -m pytest tests/test_acceptance.py -v -s  to see the lines.
+Criteria 1-6 run the identities of `llasym.cli.CHECKS`, the registry that
+`llasym verify` prints, on the conftest fixtures.  Run with
+python3 -m pytest tests/test_acceptance.py -v -s  to see the lines.
 """
 
-import math
 import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from llasym import (
     ModelParams,
-    amplitude,
     critical_exponent_pair,
-    default_contour,
     dress_all,
     find_saddle,
     special_shift,
 )
-from llasym.amplitudes import ContourSpec
-from llasym.excitations import u_combination, u_d1, u_d2
-from llasym.fflab import (
-    AffineCounting,
-    FFLabInstance,
-    NuFunction,
-    QuadraticPhase,
-    lagrange_closed_form,
-    lagrange_series,
-    singular_sum,
-    standard_matrix,
-    xn_bruteforce,
-    xn_determinant,
-)
+from llasym.cli import CHECKS, NODE_DOUBLING, term_amplitudes
+from llasym.excitations import u_d1, u_d2
 
 from golden_diff import golden_mismatch
 
@@ -47,129 +34,70 @@ def _report(criterion: str, ok: bool, detail: str):
     assert ok, f"{criterion}: {detail}"
 
 
+def _gate(criterion: str, results: list):
+    """Print each registry check's line; the criterion holds when every check passes."""
+    for _, line in results:
+        print(f"{criterion} {line}")
+    assert all(ok for ok, _ in results), "; ".join(line for ok, line in results if not ok)
+
+
+def _run(names, **bound) -> list:
+    return [CHECKS[name].run(bound) for name in names]
+
+
 # ----------------------------------------------------------------- 1
 
 def test_criterion_1_dressed_charge_phase_identity(dressed_11, dressed_41, dressed_162):
-    worst = 0.0
-    for d in (dressed_11, dressed_41, dressed_162):
-        nodes = d.grid.nodes
-        q = d.q
-        resid = float(np.max(np.abs(
-            d.Z(nodes) - 1.0 - d.phi(nodes, -q) + d.phi(nodes, q))))
-        worst = max(worst, resid)
-    q = dressed_11.q
-    bound = abs(1.0 / float(dressed_11.Z(q)) - 1.0
-                - float(dressed_11.phi(-q, q)) + float(dressed_11.phi(q, q)))
-    ok = worst < 1e-7 and bound < 1e-7
-    _report("criterion_1", ok,
-            f"Z-phi identity worst node residual {worst:.3e}, "
-            f"boundary inverse residual {bound:.3e} (tol 1e-07)")
+    names = ("Z_phi_identity(c=1,h=1)", "Z_boundary_inverse(c=1,h=1)",
+             "Z_phi_identity(c=4,h=1)", "Z_phi_identity(c=16,h=2)")
+    _gate("criterion_1", _run(names, d11=dressed_11, d41=dressed_41, d162=dressed_162,
+                              perturb=0.0))
 
 
 # ----------------------------------------------------------------- 2
 
 def test_criterion_2_impenetrable_limit(dressed_tonks):
-    d = dressed_tonks
-    dev_q = abs(d.q - 1.0)
-    dev_z = float(np.max(np.abs(d.Z(d.grid.nodes) - 1.0)))
-    dev_v = abs(d.vF - 2.0)
-    ep, em = critical_exponent_pair(special_shift("empty", d), 1.0, 0.0)
-    dev_zf = max(abs(ep - 0.25), abs(em - 0.25))
-    ep2, em2 = critical_exponent_pair(special_shift("minus_q", d), 0.0, -1.0)
-    dev_tp = max(abs(ep2 - 0.25), abs(em2 - 2.25))
-    ok = dev_q < 1e-5 and dev_z < 1e-5 and dev_v < 1e-4 and dev_zf < 1e-5 and dev_tp < 1e-4
-    _report("criterion_2", ok,
-            f"|q-1|={dev_q:.2e} max|Z-1|={dev_z:.2e} |vF-2|={dev_v:.2e} "
-            f"zero_freq dev {dev_zf:.2e} (tol 1e-05), two_pF dev {dev_tp:.2e} (tol 1e-04)")
+    names = ("tonks_fermi_boundary", "tonks_dressed_charge", "tonks_fermi_velocity",
+             "tonks_exponents_zero_freq", "tonks_exponents_two_pF")
+    _gate("criterion_2", _run(names, tonks=dressed_tonks))
 
 
 # ----------------------------------------------------------------- 3
 
 def test_criterion_3_enumeration_vs_determinant():
     t0 = time.monotonic()
-    worst = 0.0
-    for inst in standard_matrix():
-        xb = xn_bruteforce(inst)
-        xd = xn_determinant(inst)
-        worst = max(worst, abs(xb - xd) / abs(xd))
+    results = _run(("xn_sum_vs_determinant",))
     elapsed = time.monotonic() - t0
-    ok = worst < 1e-10 and elapsed < 10.0
-    _report("criterion_3", ok,
-            f"12 instances worst rel err {worst:.3e} (tol 1e-10) in {elapsed:.2f}s (< 10s)")
+    _gate("criterion_3", results)
+    _report("criterion_3", elapsed < 10.0, f"12 instances in {elapsed:.2f}s (< 10s)")
 
 
 # ----------------------------------------------------------------- 4
 
-def _singsum_instance(w):
-    return FFLabInstance(N=2, L=20.0, w=w,
-                         xi=AffineCounting(1.0 / (2.0 * np.pi), 0.5),
-                         nu=NuFunction("const", 0.0),
-                         phase=QuadraticPhase(2.0, 0.1))
-
-
 def test_criterion_4_singular_sum_closure():
-    inst = _singsum_instance(40)
-    lams = [np.pi * (a + 0.5) / 10.0 for a in (-7, -2, 0, 3, 9)]
-    worst = 0.0
-    for r in (0, 1, 2):
-        for lam in lams:
-            res = singular_sum(inst, r, lam)
-            worst = max(worst, res.residual)
-    lam_t = lams[0]
-    i40 = abs(singular_sum(_singsum_instance(40), 1, lam_t).remainder_closure)
-    i80 = abs(singular_sum(_singsum_instance(80), 1, lam_t).remainder_closure)
-    ratio = i40 / i80
-    ok = worst < 1e-8 and 2.0 < ratio < 8.0
-    _report("criterion_4", ok,
-            f"closure residual {worst:.3e} over r in {{0,1,2}} x 5 points (tol 1e-08); "
-            f"window 40->80 remainder ratio {ratio:.2f} vs predicted 4 (band [2, 8])")
+    _gate("criterion_4", _run(("singular_sum_closure", "singular_sum_tail_scaling")))
 
 
 # ----------------------------------------------------------------- 5
 
 def test_criterion_5_lagrange_series():
-    cases = [
-        ("constant_map", [lambda a: 0.4 + 0.0 * a], lambda a: 1.0 + 2.0 * a),
-        ("geometric_map", [lambda a: 0.1 * a], np.exp),
-        ("coupled_pair",
-         [lambda a, b: 0.1 + 0.05 * b, lambda a, b: 0.2 + 0.05 * a],
-         lambda a, b: np.exp(0.5 * (a + b))),
-    ]
-    worst = 0.0
-    for name, phis, f in cases:
-        sums = lagrange_series(phis, f, max_order=8)
-        closed = lagrange_closed_form(phis, f)
-        worst = max(worst, abs(sums[8] - closed) / abs(closed))
-    ok = worst < 1e-8
-    _report("criterion_5", ok,
-            f"order-8 partial sum vs closed form, worst rel err {worst:.3e} (tol 1e-08)")
+    _gate("criterion_5", _run(("lagrange_order8",)))
 
 
 # ----------------------------------------------------------------- 6
 
 def test_criterion_6_amplitudes(dressed_11, dressed_41, dressed_tonks):
-    worst_phase = 0.0
-    worst_move = 0.0
+    results = []
     for d in (dressed_11, dressed_41):
-        lam0, regime = find_saddle(0.2, d)
-        fine = dress_all(d.params, n_nodes=192)
-        lam0_f, _ = find_saddle(0.2, fine)
-        for kind in ("empty", "minus_q", "saddle"):
-            kw = dict(lambda0=lam0, regime=regime) if kind == "saddle" else {}
-            res = amplitude(kind, d, contour=default_contour(d, 256), **kw)
-            worst_phase = max(worst_phase, res.phase_residual / abs(res.value))
-            kw_f = dict(lambda0=lam0_f, regime=regime) if kind == "saddle" else {}
-            res_f = amplitude(kind, fine, contour=default_contour(fine, 512), **kw_f)
-            worst_move = max(worst_move, abs(res_f.value - res.value) / abs(res.value))
-    g_half = 0.6032442812094462  # Barnes G(1/2)
-    closed = np.pi * g_half**4 * np.sqrt(dressed_tonks.q / 2.0)
-    emp = amplitude("empty", dressed_tonks, contour=default_contour(dressed_tonks, 256))
-    dev_t = abs(emp.value - closed) / closed
-    ok = worst_phase < 1e-6 and worst_move < 1e-6 and dev_t < 1e-4
-    _report("criterion_6", ok,
-            f"worst phase residual {worst_phase:.3e} and node-doubling change "
-            f"{worst_move:.3e} (tol 1e-06) over 2 couplings x 3 amplitudes; "
-            f"impenetrable closed form dev {dev_t:.3e} (tol 1e-04)")
+        at = f"(c={d.params.c:g},h={d.params.h:g})"
+        bound = {"amps": term_amplitudes(d, 0.2, 256),
+                 "amps_fine": term_amplitudes(dress_all(d.params, n_nodes=192), 0.2, 512)}
+        phase = replace(CHECKS["amplitude_phase_residual(c=1,h=1)"],
+                        name=f"amplitude_phase_residual{at}")
+        doubling = replace(NODE_DOUBLING, name=f"amplitude_node_doubling{at}")
+        results += [phase.run(bound), doubling.run(bound)]
+    results += _run(("tonks_amplitude_closed_form",), tonks=dressed_tonks, contour_nodes=256)
+    _gate("criterion_6", results)
 
 
 # ----------------------------------------------------------------- 7

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from llasym.cli import CHECKS
+
 from golden_diff import golden_mismatch
 
 DATA = Path(__file__).parent / "data"
@@ -107,18 +109,27 @@ def test_no_file_written_on_error(tmp_path):
     assert not target.exists()
 
 
+def _verify_body(stdout: str) -> list:
+    """(status, check name) of each non-comment line of `verify` output."""
+    return [tuple(l.split(":", 1)[0].split(" ", 1)) for l in stdout.splitlines()
+            if l and not l.startswith("#")]
+
+
 def test_verify_passes():
     res = run_cli("verify")
     assert res.returncode == 0, res.stdout + res.stderr
-    body = [l for l in res.stdout.splitlines() if l and not l.startswith("#")]
-    assert body and all(l.startswith("PASS") for l in body)
+    body = _verify_body(res.stdout)
+    assert [name for _, name in body] == list(CHECKS)  # one line per check, registry order
+    assert all(status == "PASS" for status, _ in body)
     assert "failures = 0" in res.stdout
 
 
 def test_verify_perturbation_is_detected():
     res = run_cli("verify", "--perturb", "1e-3")
     assert res.returncode == 1
-    assert any(l.startswith("FAIL") for l in res.stdout.splitlines())
+    failed = [name for status, name in _verify_body(res.stdout) if status == "FAIL"]
+    assert failed == [name for name in CHECKS if name.startswith("Z_")]
+    assert len(failed) == 4
 
 
 def test_impenetrable_limit_header(tmp_path):

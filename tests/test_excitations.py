@@ -109,6 +109,18 @@ def test_u_combination_definition(dressed_11):
     assert np.allclose(u_d1(lam, r, dressed_11), fd, atol=1e-7)
 
 
+def test_u_combination_integral_matches_direct(dressed_11):
+    # u = u0 - int u0'(mu) phi(mu, lam) dmu is a route to u independent of p and eps;
+    # three points inside [-q, q] and three outside
+    q = dressed_11.q
+    lam = q * np.array([-2.0, -0.5, 0.3, 0.9, 1.5, 3.0])
+    direct = u_combination(lam, 0.2, dressed_11)
+    assert np.allclose(u_combination(lam, 0.2, dressed_11, method="integral"), direct,
+                       rtol=1e-12, atol=0.0)
+    assert float(u_combination(lam[4], 0.2, dressed_11, method="integral")) == pytest.approx(
+        direct[4], rel=1e-12)
+
+
 def test_critical_exponent_pair_formula(dressed_11):
     nu = special_shift("empty", dressed_11)
     ep, em = critical_exponent_pair(nu, 1.0, 0.0)
@@ -128,7 +140,6 @@ def test_harmonic_exclusions_space_like(dressed_11):
     assert (-1, 1) not in pairs
     assert (-1, 0) not in pairs  # explicit saddle term covers it in this regime
     assert all(ep + em >= 0 for ep, em in pairs)  # eta = +1 admissibility
-    assert all(not e.amplitude_known for e in entries)
 
 
 def test_harmonic_exclusions_time_like(dressed_11):

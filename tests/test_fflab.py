@@ -20,6 +20,7 @@ from llasym.fflab import (
     minor_instance,
     nu_zero_limit,
     singular_sum,
+    singular_sum_instance,
     standard_matrix,
     xn_bruteforce,
     xn_determinant,
@@ -158,17 +159,12 @@ def test_xn_frozen_anchors():
 
 # ---------------------------------------------------------------- singular sums
 
-def _ss_inst(w):
-    return FFLabInstance(N=2, L=20.0, w=w, xi=XI_STD,
-                         nu=NuFunction("const", 0.0), phase=QuadraticPhase(2.0, 0.1))
-
-
 SS_LAMBDAS = [np.pi * (a + 0.5) / 10.0 for a in (-7, -2, 0, 3, 9)]
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_singular_sum_exact_closure(r):
-    inst = _ss_inst(40)
+    inst = singular_sum_instance(40)
     for lam in SS_LAMBDAS:
         res = singular_sum(inst, r, lam)
         assert res.residual < 1e-8, (r, lam, res.residual)
@@ -177,7 +173,7 @@ def test_singular_sum_exact_closure(r):
 
 
 def test_singular_sum_s2_is_derivative_of_s1():
-    inst = _ss_inst(40)
+    inst = singular_sum_instance(40)
     lam = SS_LAMBDAS[2]
     h = 1e-6
     fd = (singular_sum(inst, 1, lam + h).discrete
@@ -188,14 +184,14 @@ def test_singular_sum_s2_is_derivative_of_s1():
 
 def test_singular_sum_remainder_shrinks_with_window():
     lam = SS_LAMBDAS[0]
-    i40 = abs(singular_sum(_ss_inst(40), 1, lam).remainder_closure)
-    i80 = abs(singular_sum(_ss_inst(80), 1, lam).remainder_closure)
+    i40 = abs(singular_sum(singular_sum_instance(40), 1, lam).remainder_closure)
+    i80 = abs(singular_sum(singular_sum_instance(80), 1, lam).remainder_closure)
     # k + r - 1 = 2 powers of the window width: prediction 4, wide band
     assert 2.0 < i40 / i80 < 8.0
 
 
 def test_singular_sum_placement_guards():
-    inst = _ss_inst(40)
+    inst = singular_sum_instance(40)
     with pytest.raises(ContourPlacementError):
         singular_sum(inst, 1, 4.9995)       # grazes the contour knee
     with pytest.raises(ContourPlacementError):
