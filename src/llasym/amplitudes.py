@@ -24,7 +24,7 @@ strip |Im z| <= c/4 and keep a margin from the segment [-q, q].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -280,15 +280,13 @@ class AmplitudeResult:
     value          : real part of the assembled product (positive for the
                      edge amplitudes),
     phase_residual : |imaginary part| (must be tiny relative to value),
-    raw            : the full complex product,
-    parts          : complex logs of the individual factors.
+    raw            : the full complex product.
     """
 
     kind: str
     value: float
     phase_residual: float
     raw: complex
-    parts: dict = field(default_factory=dict)
 
 
 def amplitude(
@@ -306,7 +304,6 @@ def amplitude(
               exp{i pi/2 (nu(-q)^2 - nu(q)^2)}
     """
     q = dressed.q
-    parts: dict = {}
     if kind == "empty":
         nu = special_shift("empty", dressed)
         a_fac = functional_Aplus(nu, dressed)
@@ -332,16 +329,6 @@ def amplitude(
 
     b_fac = functional_B(nu, dressed)
     raw = complex(pre * a_fac * b_fac * g_fac * np.exp(phase))
-    parts["A"] = complex(np.log(a_fac))
-    parts["B"] = complex(np.log(b_fac))
-    parts["G"] = complex(np.log(g_fac))
-    parts["phase"] = complex(phase)
-    if kind == "saddle":
-        parts["prefactor"] = complex(np.log(pre))
     return AmplitudeResult(
-        kind=kind,
-        value=float(raw.real),
-        phase_residual=float(abs(raw.imag)),
-        raw=raw,
-        parts=parts,
+        kind=kind, value=float(raw.real), phase_residual=float(abs(raw.imag)), raw=raw
     )

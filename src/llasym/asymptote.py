@@ -20,14 +20,17 @@ at -q.  Harmonic entries are reported but never summed into a value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+# called through this module's globals, where benchmarks/spans.py patches them by name
 from .amplitudes import ContourSpec, amplitude
 from .dressing import DressedSet, dress_all
 from .excitations import (
     SPACE_LIKE,
+    critical_exponent_pair,
     find_saddle,
     harmonic_table,
     special_shift,
@@ -65,21 +68,29 @@ class AsymptoticTerm:
     active: bool = True
 
 
+# label -> (shift kind, exponent offsets at (+q, -q), extra power of x); the
+# shift kind is also the amplitude kind
+TERMS = {
+    "saddle": ("saddle", (0.0, 0.0), 0.5),
+    "two_pF": ("minus_q", (0.0, -1.0), 0.0),
+    "zero_freq": ("empty", (1.0, 0.0), 0.0),
+}
+
+
 @dataclass
 class ExpansionReport:
-    """Everything needed to tabulate and evaluate the expansion at one ratio."""
+    """The expansion at one ratio t/x, computed stage by stage on first use.
+
+    dressed -> saddle -> shifts -> exponents -> amplitudes -> terms, with the
+    harmonic ledger beside: reading `exponents` never assembles an amplitude,
+    and an error of a stage is raised by the first read that needs it.  A
+    contour of None is `default_contour(dressed)`.
+    """
 
     dressed: DressedSet
     ratio_t_over_x: float
-    lambda0: float
-    regime: str
-    terms: list = field(default_factory=list)
-    harmonics: list = field(default_factory=list)
-
-    # cached scalars for evaluation
-    u_at_lambda0: float = 0.0
-    u_dd_at_lambda0: float = 0.0
-    p_d1_at_lambda0: float = 0.0
+    max_abs_ell: int = 2
+    contour: ContourSpec | None = None
 
     @property
     def q(self) -> float:
@@ -93,6 +104,85 @@ class ExpansionReport:
     def pF(self) -> float:
         return self.dressed.pF
 
+    @cached_property
+    def saddle(self) -> tuple:
+        """(lambda0, regime) of u = p - (t/x) eps."""
+        return find_saddle(self.ratio_t_over_x, self.dressed)
+
+    @property
+    def lambda0(self) -> float:
+        return self.saddle[0]
+
+    @property
+    def regime(self) -> str:
+        return self.saddle[1]
+
+    @cached_property
+    def u_at_lambda0(self) -> float:
+        return float(u_combination(self.lambda0, self.ratio_t_over_x, self.dressed))
+
+    @cached_property
+    def u_dd_at_lambda0(self) -> float:
+        return float(u_d2(self.lambda0, self.ratio_t_over_x, self.dressed))
+
+    @cached_property
+    def p_d1_at_lambda0(self) -> float:
+        return float(self.dressed.p_d1(self.lambda0))
+
+    @cached_property
+    def shifts(self) -> dict:
+        """Shift function of each explicit term, by label."""
+        return {label: special_shift(kind, self.dressed, self.lambda0)
+                for label, (kind, _, _) in TERMS.items()}
+
+    @cached_property
+    def exponents(self) -> dict:
+        """(power of x - vF t, power of x + vF t) of each explicit term, by label."""
+        return {label: critical_exponent_pair(self.shifts[label], *offsets)
+                for label, (_, offsets, _) in TERMS.items()}
+
+    @cached_property
+    def amplitudes(self) -> dict:
+        """AmplitudeResult of each active term, by label.
+
+        The saddle term is active only in the space-like regime; in the
+        time-like regime the saddle-vicinity physics lives in the (-1, 0)
+        harmonic and its amplitude is not predicted.
+        """
+        return {
+            label: amplitude(kind, self.dressed, lambda0=self.lambda0, regime=self.regime,
+                             contour=self.contour)
+            for label, (kind, _, _) in TERMS.items()
+            if label != "saddle" or self.regime == SPACE_LIKE
+        }
+
+    @cached_property
+    def terms(self) -> list:
+        """One AsymptoticTerm per entry of TERMS, inactive ones with amplitude None."""
+        frequency = {"saddle": self.u_at_lambda0 - self.pF,  # u(q) = p(q) since eps(q) = 0
+                     "two_pF": -2.0 * self.pF, "zero_freq": 0.0}
+        amps = self.amplitudes
+        return [
+            AsymptoticTerm(label, frequency[label], *self.exponents[label], extra_power,
+                           amps[label].value if label in amps else None, label in amps)
+            for label, (_, _, extra_power) in TERMS.items()
+        ]
+
+    @cached_property
+    def harmonic_entries(self) -> list:
+        """HarmonicEntry of each pair |l+-| <= max_abs_ell in the ledger."""
+        return harmonic_table(self.max_abs_ell, self.dressed, self.lambda0, self.regime,
+                              self.ratio_t_over_x)
+
+    @cached_property
+    def harmonics(self) -> list:
+        """The harmonic ledger as inactive terms with amplitude None, never summed."""
+        return [
+            AsymptoticTerm(f"harmonic({e.ell_plus:+d},{e.ell_minus:+d})", e.frequency,
+                           e.exponent_plus, e.exponent_minus, e.extra_power, None, False)
+            for e in self.harmonic_entries
+        ]
+
 
 def assemble_expansion(
     params_or_dressed,
@@ -104,85 +194,15 @@ def assemble_expansion(
     """Build the term table at fixed ratio t/x > 0.
 
     The saddle term is active only in the space-like regime; in the time-like
-    regime it is listed inactive with no amplitude (there the saddle-vicinity
-    physics lives in the (-1, 0) harmonic).  Harmonics up to |l+-| <=
+    regime it is listed inactive with no amplitude.  Harmonics up to |l+-| <=
     max_abs_ell are appended with amplitude None, never summed.
     """
     if isinstance(params_or_dressed, DressedSet):
         dressed = params_or_dressed
     else:
         dressed = dress_all(params_or_dressed, n_nodes=n_nodes)
-    lam0, regime = find_saddle(ratio_t_over_x, dressed)
-
-    nu_sad = special_shift("saddle", dressed, lam0)
-    nu_mq = special_shift("minus_q", dressed)
-    nu_ee = special_shift("empty", dressed)
-
-    u_l0 = float(u_combination(lam0, ratio_t_over_x, dressed))
-    u_q = dressed.pF  # u(q) = p(q) since eps(q) = 0
-    terms = []
-
-    space_like = regime == SPACE_LIKE
-    amp_sad = (
-        amplitude("saddle", dressed, lambda0=lam0, regime=regime, contour=contour).value
-        if space_like
-        else None
-    )
-    terms.append(
-        AsymptoticTerm(
-            label="saddle",
-            frequency=u_l0 - u_q,
-            exponent_plus=nu_sad.at_q**2,
-            exponent_minus=nu_sad.at_minus_q**2,
-            extra_power=0.5,
-            amplitude=amp_sad,
-            active=space_like,
-        )
-    )
-    terms.append(
-        AsymptoticTerm(
-            label="two_pF",
-            frequency=-2.0 * dressed.pF,
-            exponent_plus=nu_mq.at_q**2,
-            exponent_minus=(nu_mq.at_minus_q - 1.0) ** 2,
-            amplitude=amplitude("minus_q", dressed, contour=contour).value,
-        )
-    )
-    terms.append(
-        AsymptoticTerm(
-            label="zero_freq",
-            frequency=0.0,
-            exponent_plus=(nu_ee.at_q + 1.0) ** 2,
-            exponent_minus=nu_ee.at_minus_q**2,
-            amplitude=amplitude("empty", dressed, contour=contour).value,
-        )
-    )
-
-    harmonics = []
-    for entry in harmonic_table(max_abs_ell, dressed, lam0, regime, ratio_t_over_x):
-        harmonics.append(
-            AsymptoticTerm(
-                label=f"harmonic({entry.ell_plus:+d},{entry.ell_minus:+d})",
-                frequency=entry.frequency,
-                exponent_plus=entry.exponent_plus,
-                exponent_minus=entry.exponent_minus,
-                extra_power=entry.extra_power,
-                amplitude=None,
-                active=False,
-            )
-        )
-
-    report = ExpansionReport(
-        dressed=dressed,
-        ratio_t_over_x=ratio_t_over_x,
-        lambda0=lam0,
-        regime=regime,
-        terms=terms,
-        harmonics=harmonics,
-        u_at_lambda0=u_l0,
-        u_dd_at_lambda0=float(u_d2(lam0, ratio_t_over_x, dressed)),
-        p_d1_at_lambda0=float(dressed.p_d1(lam0)),
-    )
+    report = ExpansionReport(dressed, ratio_t_over_x, max_abs_ell, contour)
+    report.terms, report.harmonics  # every stage runs here, so evaluate_rho only sums
     return report
 
 

@@ -21,9 +21,7 @@ Exit codes: 0 success, 1 verification failure, 2 config/solver error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -32,24 +30,23 @@ import numpy as np
 from . import fflab
 from .amplitudes import ResonanceError, amplitude, default_contour
 from .asymptote import (
+    TERMS,
+    ExpansionReport,
     LightConeError,
     RatioMismatchError,
-    assemble_expansion,
+    assemble_expansion,  # noqa: F401 -- patched by name in benchmarks/spans.py
     evaluate_rho,
 )
 from .dressing import BracketFailureError, SingularSystemError, dress_all
 from .excitations import (
-    SPACE_LIKE,
     DegenerateSaddleError,
     MultipleSaddlesError,
     NoSaddleError,
     critical_exponent_pair,
-    find_saddle,
-    harmonic_table,
+    find_saddle,  # noqa: F401 -- patched by name in benchmarks/spans.py
+    harmonic_table,  # noqa: F401 -- patched by name in benchmarks/spans.py
     special_shift,
-    u_combination,
     u_d1,
-    u_d2,
 )
 from .model import ModelParams, StripError
 from .specfun import barnes_g_log
@@ -198,13 +195,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("LLASYM_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"LLASYM_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
+def expansion(cfg: RunConfig, dressed=None) -> ExpansionReport:
+    """The lazy expansion pipeline at the configured ratio, contour nodes and
+    ladder bound; `dressed` defaults to the configured couplings."""
+    if dressed is None:
+        dressed = dress_all(ModelParams(c=cfg.c, h=cfg.h), n_nodes=cfg.n_nodes)
+    return ExpansionReport(
+        dressed, cfg.ratio_t_over_x, cfg.max_abs_ell, default_contour(dressed, cfg.contour_nodes)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -215,17 +213,19 @@ def _g(v) -> str:
     return format(float(v), ".17g")
 
 
-def _yesno(flag: bool) -> str:
-    return "yes" if flag else "no"
+def _row(*vals) -> str:
+    """One CSV line: strings as they are, numbers with 17 significant digits."""
+    return ",".join(v if isinstance(v, str) else _g(v) for v in vals)
 
 
-def _header(title: str, cfg: RunConfig, keys: tuple, extra: dict | None = None) -> list:
+def _header(title: str, cfg: RunConfig, keys: tuple, source, fields: tuple) -> list:
+    """'# name = value' lines: the config's `keys`, then the attributes `fields` of `source`."""
     lines = [f"# llasym {title}"]
     for key in keys:
         val = getattr(cfg, key)
         lines.append(f"# {key} = {val if isinstance(val, int) else _g(val)}")
-    for key, val in (extra or {}).items():
-        lines.append(f"# {key} = {val if isinstance(val, str) else _g(val)}")
+    for key in fields:
+        lines.append(f"# {key} = {_row(getattr(source, key))}")
     return lines
 
 
@@ -233,186 +233,82 @@ def _header(title: str, cfg: RunConfig, keys: tuple, extra: dict | None = None) 
 # commands
 # ----------------------------------------------------------------------
 
+_SADDLE_FIELDS = ("q", "lambda0", "regime")
+
+
 def cmd_dress(cfg: RunConfig) -> str:
-    dressed = dress_all(ModelParams(c=cfg.c, h=cfg.h), n_nodes=cfg.n_nodes)
+    dressed = expansion(cfg).dressed
     nodes = dressed.grid.nodes
-    p_vals = dressed.p(nodes)
-    pd1_vals = dressed.p_d1(nodes)
-    eps_vals = dressed.eps(nodes)
-    z_vals = dressed.Z(nodes)
-    lines = _header(
-        "dress",
-        cfg,
-        ("c", "h", "n_nodes"),
-        {
-            "q": dressed.q,
-            "D": dressed.D,
-            "pF": dressed.pF,
-            "vF": dressed.vF,
-            "det_IK": dressed.det_IK,
-        },
-    )
+    lines = _header("dress", cfg, ("c", "h", "n_nodes"), dressed, ("q", "D", "pF", "vF", "det_IK"))
     lines.append("lambda,p,p_prime,eps,Z")
-    for i in range(len(nodes)):
-        lines.append(
-            ",".join(_g(v) for v in (nodes[i], p_vals[i], pd1_vals[i], eps_vals[i], z_vals[i]))
-        )
+    for row in zip(nodes, dressed.p(nodes), dressed.p_d1(nodes), dressed.eps(nodes), dressed.Z(nodes)):
+        lines.append(_row(*row))
     return "\n".join(lines) + "\n"
 
 
 def cmd_saddle(cfg: RunConfig) -> str:
-    dressed = dress_all(ModelParams(c=cfg.c, h=cfg.h), n_nodes=cfg.n_nodes)
-    lam0, regime = find_saddle(cfg.ratio_t_over_x, dressed)
-    r = cfg.ratio_t_over_x
-    u0 = float(u_combination(lam0, r, dressed))
-    lines = _header(
-        "saddle",
-        cfg,
-        ("c", "h", "ratio_t_over_x", "n_nodes"),
-        {"q": dressed.q, "vF": dressed.vF},
-    )
+    report = expansion(cfg)
+    lam0, regime = report.saddle
+    lines = _header("saddle", cfg, ("c", "h", "ratio_t_over_x", "n_nodes"), report, ("q", "vF"))
     lines.append("lambda0,regime,u_lambda0,u_d1_residual,u_d2_lambda0,frequency")
-    lines.append(
-        ",".join(
-            (
-                _g(lam0),
-                regime,
-                _g(u0),
-                _g(abs(float(u_d1(lam0, r, dressed)))),
-                _g(float(u_d2(lam0, r, dressed))),
-                _g(u0 - dressed.pF),
-            )
-        )
-    )
+    u_d1_residual = abs(float(u_d1(lam0, cfg.ratio_t_over_x, report.dressed)))
+    lines.append(_row(lam0, regime, report.u_at_lambda0, u_d1_residual, report.u_dd_at_lambda0,
+                      report.u_at_lambda0 - report.pF))
     return "\n".join(lines) + "\n"
 
 
 def cmd_exponents(cfg: RunConfig) -> str:
-    dressed = dress_all(ModelParams(c=cfg.c, h=cfg.h), n_nodes=cfg.n_nodes)
-    lam0, regime = find_saddle(cfg.ratio_t_over_x, dressed)
-    nu_sad = special_shift("saddle", dressed, lam0)
-    nu_mq = special_shift("minus_q", dressed)
-    nu_ee = special_shift("empty", dressed)
-    rows = [
-        ("saddle", nu_sad, critical_exponent_pair(nu_sad, 0.0, 0.0)),
-        ("two_pF", nu_mq, critical_exponent_pair(nu_mq, 0.0, -1.0)),
-        ("zero_freq", nu_ee, critical_exponent_pair(nu_ee, 1.0, 0.0)),
-    ]
-    lines = _header(
-        "exponents",
-        cfg,
-        ("c", "h", "ratio_t_over_x", "n_nodes"),
-        {"q": dressed.q, "lambda0": lam0, "regime": regime},
-    )
+    report = expansion(cfg)
+    lines = _header("exponents", cfg, ("c", "h", "ratio_t_over_x", "n_nodes"), report, _SADDLE_FIELDS)
     lines.append("label,nu_at_q,nu_at_minus_q,exponent_plus,exponent_minus")
-    for label, nu, (ep, em) in rows:
-        lines.append(
-            ",".join((label, _g(nu.at_q), _g(nu.at_minus_q), _g(ep), _g(em)))
-        )
+    for label, nu in report.shifts.items():
+        lines.append(_row(label, nu.at_q, nu.at_minus_q, *report.exponents[label]))
     return "\n".join(lines) + "\n"
 
 
 def cmd_amplitudes(cfg: RunConfig) -> str:
-    dressed = dress_all(ModelParams(c=cfg.c, h=cfg.h), n_nodes=cfg.n_nodes)
-    lam0, regime = find_saddle(cfg.ratio_t_over_x, dressed)
-    contour = default_contour(dressed, cfg.contour_nodes)
-    lines = _header(
-        "amplitudes",
-        cfg,
-        ("c", "h", "ratio_t_over_x", "n_nodes", "contour_nodes"),
-        {"q": dressed.q, "lambda0": lam0, "regime": regime},
-    )
+    report = expansion(cfg)
+    keys = ("c", "h", "ratio_t_over_x", "n_nodes", "contour_nodes")
+    lines = _header("amplitudes", cfg, keys, report, _SADDLE_FIELDS)
     lines.append("label,amplitude,phase_residual,active")
-    for label, kind in (("zero_freq", "empty"), ("two_pF", "minus_q")):
-        res = amplitude(kind, dressed, contour=contour)
-        lines.append(",".join((label, _g(res.value), _g(res.phase_residual), "yes")))
-    if regime == SPACE_LIKE:
-        res = amplitude("saddle", dressed, lambda0=lam0, regime=regime, contour=contour)
-        lines.append(",".join(("saddle", _g(res.value), _g(res.phase_residual), "yes")))
-    else:
-        lines.append("saddle,UNKNOWN,UNKNOWN,no")
+    for label in reversed(TERMS):
+        res = report.amplitudes.get(label)
+        if res is None:
+            lines.append(f"{label},UNKNOWN,UNKNOWN,no")
+        else:
+            lines.append(_row(label, res.value, res.phase_residual, "yes"))
     return "\n".join(lines) + "\n"
 
 
 def cmd_harmonics(cfg: RunConfig) -> str:
-    dressed = dress_all(ModelParams(c=cfg.c, h=cfg.h), n_nodes=cfg.n_nodes)
-    lam0, regime = find_saddle(cfg.ratio_t_over_x, dressed)
-    entries = harmonic_table(cfg.max_abs_ell, dressed, lam0, regime, cfg.ratio_t_over_x)
-    lines = _header(
-        "harmonics",
-        cfg,
-        ("c", "h", "ratio_t_over_x", "n_nodes", "max_abs_ell"),
-        {"q": dressed.q, "lambda0": lam0, "regime": regime},
-    )
+    report = expansion(cfg)
+    keys = ("c", "h", "ratio_t_over_x", "n_nodes", "max_abs_ell")
+    lines = _header("harmonics", cfg, keys, report, _SADDLE_FIELDS)
     lines.append("ell_plus,ell_minus,frequency,exponent,amplitude")
-    for e in entries:
-        lines.append(
-            ",".join(
-                (str(e.ell_plus), str(e.ell_minus), _g(e.frequency), _g(e.exponent), "UNKNOWN")
-            )
-        )
+    for e in report.harmonic_entries:
+        lines.append(_row(str(e.ell_plus), str(e.ell_minus), e.frequency, e.exponent, "UNKNOWN"))
     return "\n".join(lines) + "\n"
 
 
 def cmd_asymptotics(cfg: RunConfig) -> str:
-    dressed = dress_all(ModelParams(c=cfg.c, h=cfg.h), n_nodes=cfg.n_nodes)
-    contour = default_contour(dressed, cfg.contour_nodes)
-    report = assemble_expansion(
-        dressed, cfg.ratio_t_over_x, max_abs_ell=cfg.max_abs_ell, contour=contour
-    )
-    pts = cfg.points()
-    n_threads = _thread_count()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            values = list(pool.map(lambda pt: evaluate_rho(report, pt[0], pt[1]), pts))
-    else:
-        values = [evaluate_rho(report, x, t) for x, t in pts]
-
-    lines = _header(
-        "asymptotics",
-        cfg,
-        ("c", "h", "ratio_t_over_x", "n_nodes", "contour_nodes", "max_abs_ell"),
-        {
-            "q": report.q,
-            "pF": report.pF,
-            "vF": report.vF,
-            "lambda0": report.lambda0,
-            "regime": report.regime,
-        },
-    )
+    report = expansion(cfg)
+    # the header reads the saddle first, so a degenerate saddle on the light
+    # cone exits 3 before evaluate_rho can raise LightConeError
+    keys = ("c", "h", "ratio_t_over_x", "n_nodes", "contour_nodes", "max_abs_ell")
+    lines = _header("asymptotics", cfg, keys, report, ("q", "pF", "vF", "lambda0", "regime"))
     lines.append("# terms")
     lines.append("label,frequency,exponent_plus,exponent_minus,amplitude,active")
-    for term in list(report.terms) + list(report.harmonics):
-        amp = "UNKNOWN" if term.amplitude is None else _g(term.amplitude)
-        lines.append(
-            ",".join(
-                (
-                    term.label,
-                    _g(term.frequency),
-                    _g(term.exponent_plus),
-                    _g(term.exponent_minus),
-                    amp,
-                    _yesno(term.active),
-                )
-            )
-        )
+    for term in report.terms + report.harmonics:
+        amp = "UNKNOWN" if term.amplitude is None else term.amplitude
+        lines.append(_row(term.label, term.frequency, term.exponent_plus, term.exponent_minus, amp,
+                          "yes" if term.active else "no"))
     lines.append("")
     lines.append("# evaluations")
     lines.append("x,t,re_rho,im_rho,mod_saddle,mod_two_pF,mod_zero_freq")
-    for rho in values:
-        lines.append(
-            ",".join(
-                (
-                    _g(rho.x),
-                    _g(rho.t),
-                    _g(rho.value.real),
-                    _g(rho.value.imag),
-                    _g(rho.term_moduli.get("saddle", 0.0)),
-                    _g(rho.term_moduli.get("two_pF", 0.0)),
-                    _g(rho.term_moduli.get("zero_freq", 0.0)),
-                )
-            )
-        )
+    for x, t in cfg.points():
+        rho = evaluate_rho(report, x, t)
+        moduli = (rho.term_moduli.get(label, 0.0) for label in TERMS)
+        lines.append(_row(rho.x, rho.t, rho.value.real, rho.value.imag, *moduli))
     return "\n".join(lines) + "\n"
 
 
@@ -459,7 +355,9 @@ def _z_boundary_residual(d, perturb: float) -> float:
     return abs(1.0 / zq - 1.0 - float(d.phi(-q, q)) + float(d.phi(q, q)))
 
 
-def _exponent_deviation(d, kind: str, offsets: tuple, expected: tuple) -> float:
+def _exponent_deviation(d, label: str, expected: tuple) -> float:
+    """Exponent pair of an edge term of TERMS (no saddle needed) against `expected`."""
+    kind, offsets, _ = TERMS[label]
     ep, em = critical_exponent_pair(special_shift(kind, d), *offsets)
     return max(abs(ep - expected[0]), abs(em - expected[1]))
 
@@ -509,16 +407,6 @@ def _lagrange_residual() -> float:
     )
 
 
-def term_amplitudes(d, ratio: float, contour_nodes: int) -> list:
-    """Amplitudes of the empty, minus_q and saddle terms on the default contour."""
-    lam0, regime = find_saddle(ratio, d)
-    contour = default_contour(d, contour_nodes)
-    return [
-        amplitude(kind, d, lambda0=lam0, regime=regime, contour=contour)
-        for kind in ("empty", "minus_q", "saddle")
-    ]
-
-
 def _tonks_amplitude_residual(d, contour_nodes: int) -> float:
     value = amplitude("empty", d, contour=default_contour(d, contour_nodes)).value
     return _rel_err(value, float(np.pi * np.exp(4.0 * barnes_g_log(0.5)) * np.sqrt(d.q / 2.0)))
@@ -534,9 +422,9 @@ CHECKS = {check.name: check for check in (
           lambda d: np.max(np.abs(d.Z(d.grid.nodes) - 1.0)), ("tonks",)),
     Check("tonks_fermi_velocity", 1e-4, "|vF - 2|", lambda d: abs(d.vF - 2.0), ("tonks",)),
     Check("tonks_exponents_zero_freq", 1e-5, "worst deviation from (1/4, 1/4)",
-          lambda d: _exponent_deviation(d, "empty", (1.0, 0.0), (0.25, 0.25)), ("tonks",)),
+          lambda d: _exponent_deviation(d, "zero_freq", (0.25, 0.25)), ("tonks",)),
     Check("tonks_exponents_two_pF", 1e-4, "worst deviation from (1/4, 9/4)",
-          lambda d: _exponent_deviation(d, "minus_q", (0.0, -1.0), (0.25, 2.25)), ("tonks",)),
+          lambda d: _exponent_deviation(d, "two_pF", (0.25, 2.25)), ("tonks",)),
     Check("xn_sum_vs_determinant", 1e-10, "12 instances, worst rel err", _xn_residual),
     Check("singular_sum_closure", 1e-8, "r in {0,1,2} at 5 points, worst residual", _singsum_closure),
     Check("singular_sum_tail_scaling", 1.0, "|log2(I1(w=40)/I1(w=80)) - 2|", _singsum_scaling),
@@ -564,7 +452,7 @@ def verify_inputs(cfg: RunConfig) -> dict:
         key: dress_all(ModelParams(c=c, h=h), n_nodes=cfg.n_nodes)
         for key, (c, h) in _VERIFY_COUPLINGS.items()
     }
-    amps = term_amplitudes(bound["d11"], cfg.ratio_t_over_x, cfg.contour_nodes)
+    amps = list(expansion(cfg, bound["d11"]).amplitudes.values())
     return {**bound, "amps": amps, "perturb": cfg.perturb, "contour_nodes": cfg.contour_nodes}
 
 

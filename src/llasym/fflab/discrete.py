@@ -30,6 +30,7 @@ __all__ = [
     "EnumerationSizeError",
     "SingularMatrixError",
     "dhat_N",
+    "integrable_resummation",
     "nu_zero_limit",
     "xn_bruteforce",
     "xn_determinant",
@@ -171,7 +172,6 @@ def xn_determinant(inst: FFLabInstance) -> complex:
     lam = inst.lam
     mu = inst.mu
     L = inst.L
-    N = inst.N
 
     e_inv_mu = inst.phase.e_inv_sq(mu)
     dxi_mu = inst.xi.d1(mu)
@@ -195,16 +195,28 @@ def xn_determinant(inst: FFLabInstance) -> complex:
     o_val = 1j * s1
     o_der = 1j * s2 - 1j * np.pi * dxin_lam * e_inv_lam / (2.0 * s_lam**2)
 
-    col = e_sq_lam / dxin_lam
-    dl = lam[:, None] - lam[None, :]
+    return integrable_resummation(lam, o_val, o_der, s_lam, e_sq_lam / dxin_lam, s0)
+
+
+def integrable_resummation(pts, o_val, o_der, s, col, s0) -> complex:
+    """det(I + V) * (s0 + 2/pi * sum_k s_k o_k col_k g_k) with (I + V) g = s o.
+
+    V is the integrable kernel of the auxiliary values o at the points pts,
+
+        V_jk = 4 s_j s_k / (2 i pi) * (o_j - o_k) / (pts_j - pts_k) * col_k,
+
+    with the derivative o'_j in place of the divided difference on the
+    diagonal; col folds the column weights (and quadrature weights) in.
+    """
+    dl = pts[:, None] - pts[None, :]
     np.fill_diagonal(dl, 1.0)
     kern = (o_val[:, None] - o_val[None, :]) / dl
     np.fill_diagonal(kern, o_der)
-    V = (4.0 * s_lam[:, None] * s_lam[None, :] / (2j * np.pi)) * kern * col[None, :]
+    V = (4.0 * s[:, None] * s[None, :] / (2j * np.pi)) * kern * col[None, :]
 
-    M = np.eye(N, dtype=complex) + V
-    u_vec = s_lam * o_val
-    v_vec = (2.0 / np.pi) * s_lam * o_val * col
+    M = np.eye(len(pts), dtype=complex) + V
+    u_vec = s * o_val
+    v_vec = (2.0 / np.pi) * s * o_val * col
     try:
         det_m = np.linalg.det(M)
         sol = np.linalg.solve(M, u_vec)

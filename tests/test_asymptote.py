@@ -13,10 +13,11 @@ from llasym import (
     default_contour,
     dress_all,
     evaluate_rho,
-    find_saddle,
     special_shift,
 )
-from llasym.asymptote import ExpansionReport, LightConeError, RatioMismatchError
+from llasym import asymptote
+from llasym.asymptote import TERMS, ExpansionReport, LightConeError, RatioMismatchError
+from llasym.cli import RunConfig, cmd_exponents, cmd_harmonics, cmd_saddle
 from llasym.excitations import SPACE_LIKE, TIME_LIKE, u_combination
 
 RATIO = 0.2
@@ -123,16 +124,25 @@ def test_evaluate_rho_guards(report_space, dressed_11):
         evaluate_rho(report_space, 10.0, 2.1)
     with pytest.raises(ValueError):
         evaluate_rho(report_space, -5.0, -1.0)
-    cone = ExpansionReport(
-        dressed=dressed_11,
-        ratio_t_over_x=1.0 / dressed_11.vF,
-        lambda0=2.0,
-        regime=SPACE_LIKE,
-        terms=[],
-        harmonics=[],
-    )
+    # the guard fires before the report's (degenerate) saddle is ever searched
+    cone = ExpansionReport(dressed_11, 1.0 / dressed_11.vF)
     with pytest.raises(LightConeError):
         evaluate_rho(cone, 1.0, 1.0 / dressed_11.vF)
+
+
+def test_stages_before_amplitudes_never_assemble_one(monkeypatch, dressed_11):
+    def no_amplitude(*args, **kwargs):
+        raise AssertionError("amplitude assembled")
+
+    monkeypatch.setattr(asymptote, "amplitude", no_amplitude)
+    report = ExpansionReport(dressed_11, RATIO)
+    assert set(report.shifts) == set(report.exponents) == set(TERMS)
+    assert report.harmonic_entries and report.u_dd_at_lambda0 < 0.0
+    with pytest.raises(AssertionError, match="amplitude assembled"):
+        report.terms
+    cfg = RunConfig(n_nodes=48, contour_nodes=64)
+    for cmd in (cmd_exponents, cmd_saddle, cmd_harmonics):
+        assert cmd(cfg).startswith(f"# llasym {cmd.__name__[4:]}\n")
 
 
 @given(s=st.floats(0.6, 1.8))
@@ -140,17 +150,12 @@ def test_evaluate_rho_guards(report_space, dressed_11):
 def test_exponents_scale_invariant(s):
     # (lam, c, h) -> (s lam, s c, s^2 h) rescales all momenta by s but leaves
     # the shift functions, hence every critical exponent, unchanged
-    base = dress_all(ModelParams(c=1.0, h=1.0), n_nodes=48)
-    scaled = dress_all(ModelParams(c=s, h=s * s), n_nodes=48)
-    lam0_b, _ = find_saddle(RATIO, base)
-    lam0_s, _ = find_saddle(RATIO / s, scaled)
-    for kind, offs in (("empty", (1.0, 0.0)), ("minus_q", (0.0, -1.0)), ("saddle", (0.0, 0.0))):
-        nb = special_shift(kind, base, lam0_b if kind == "saddle" else None)
-        ns = special_shift(kind, scaled, lam0_s if kind == "saddle" else None)
-        pb = critical_exponent_pair(nb, *offs)
-        ps = critical_exponent_pair(ns, *offs)
-        assert ps[0] == pytest.approx(pb[0], rel=1e-6, abs=1e-9), kind
-        assert ps[1] == pytest.approx(pb[1], rel=1e-6, abs=1e-9), kind
+    base = ExpansionReport(dress_all(ModelParams(c=1.0, h=1.0), n_nodes=48), RATIO)
+    scaled = ExpansionReport(dress_all(ModelParams(c=s, h=s * s), n_nodes=48), RATIO / s)
+    for label, pb in base.exponents.items():
+        ps = scaled.exponents[label]
+        assert ps[0] == pytest.approx(pb[0], rel=1e-6, abs=1e-9), label
+        assert ps[1] == pytest.approx(pb[1], rel=1e-6, abs=1e-9), label
     # momenta scale linearly
     assert scaled.pF == pytest.approx(s * base.pF, rel=1e-8)
-    assert lam0_s == pytest.approx(s * lam0_b, rel=1e-7)
+    assert scaled.lambda0 == pytest.approx(s * base.lambda0, rel=1e-7)
