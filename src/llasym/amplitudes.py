@@ -39,6 +39,10 @@ class ResonanceError(ValueError):
     """A factor 1/(e^{+-2 i pi nu} - 1) is evaluated too close to its pole."""
 
 
+class NonFiniteAmplitudeError(ValueError):
+    """The assembled amplitude overflowed or is NaN (e.g. det(I + V) at weak coupling)."""
+
+
 @dataclass(frozen=True)
 class ContourSpec:
     """Axis-aligned ellipse a cos(theta) + i b sin(theta) around [-q, q]."""
@@ -329,6 +333,8 @@ def amplitude(
 
     b_fac = functional_B(nu, dressed)
     raw = complex(pre * a_fac * b_fac * g_fac * np.exp(phase))
+    if not np.isfinite(raw):
+        raise NonFiniteAmplitudeError(f"{kind} amplitude is not finite: {raw}")
     return AmplitudeResult(
         kind=kind, value=float(raw.real), phase_residual=float(abs(raw.imag)), raw=raw
     )

@@ -21,12 +21,16 @@ valid off-grid and for complex z; we conservatively restrict complex
 arguments to |Im z| <= c/4 (the kernel's poles sit at +-ic).  Derivatives
 of the extension are exact derivatives of this formula.
 
-The Fermi boundary q is fixed by eps(+-q) = 0 (bracketed bisection on
-[1e-6, 10 sqrt(h)], polished by secant steps).
+Every Gauss-Legendre rule comes from `legendre_rule`, built once per n and
+scaled by q.  The Fermi boundary q is fixed by eps(+-q) = 0: eps(sqrt(h)) < 0
+for c > 0, the upper end of the bracket doubles until eps changes sign, and
+Brent's method (inverse quadratic, secant and bisection steps) closes the
+bracket to machine precision in 6 to 10 solves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -47,7 +51,15 @@ class SingularSystemError(RuntimeError):
 
 
 class BracketFailureError(RuntimeError):
-    """eps(q) did not change sign on the search bracket for the Fermi boundary."""
+    """eps(q) has no root on the search bracket: no sign change, or one across a pole."""
+
+
+@lru_cache(maxsize=None)
+def legendre_rule(n_nodes: int) -> tuple:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per n."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -61,7 +73,7 @@ class QuadGrid:
 
     @staticmethod
     def build(n_nodes: int, q: float) -> "QuadGrid":
-        x, w = np.polynomial.legendre.leggauss(n_nodes)
+        x, w = legendre_rule(n_nodes)
         return QuadGrid(n_nodes=n_nodes, nodes=q * x, weights=q * w, q=q)
 
 
@@ -136,14 +148,7 @@ class NystromOperator:
             vals = lu_solve(self._lu, rhs.real) + 1j * lu_solve(self._lu, rhs.imag)
         else:
             vals = lu_solve(self._lu, rhs)
-        return SecondKindSolution(
-            grid=self.grid,
-            params=self.params,
-            values=vals,
-            driving=driving,
-            driving_d1=driving_d1,
-            driving_d2=driving_d2,
-        )
+        return SecondKindSolution(self.grid, self.params, vals, driving, driving_d1, driving_d2)
 
 
 def _eps_at_q(q: float, params: ModelParams, n_nodes: int) -> float:
@@ -154,36 +159,49 @@ def _eps_at_q(q: float, params: ModelParams, n_nodes: int) -> float:
 
 
 def find_fermi_boundary(params: ModelParams, tol: float = 1e-10, n_nodes: int = 96) -> float:
-    """q > 0 with eps(q) = 0: bisection on [1e-6, 10 sqrt(h)] + secant polish."""
-    lo, hi = 1e-6, 10.0 * np.sqrt(params.h)
-    flo, fhi = _eps_at_q(lo, params, n_nodes), _eps_at_q(hi, params, n_nodes)
-    if flo * fhi > 0:
-        raise BracketFailureError(
-            f"eps({lo})={flo} and eps({hi})={fhi} do not bracket a root"
-        )
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fmid = _eps_at_q(mid, params, n_nodes)
-        if flo * fmid <= 0:
-            hi, fhi = mid, fmid
+    """q > 0 with eps(q) = 0, by Brent's method on a bracket grown from sqrt(h).
+
+    eps(sqrt(h)) < 0 for c > 0; the upper end doubles (at most 12 times) until
+    eps changes sign, then the bracket closes to a few ulps of q.  |eps(q)| >
+    tol * h there means a pole of the discretised eps (too few nodes for c).
+    """
+    lo = hi = float(np.sqrt(params.h))
+    f_lo = _eps_at_q(lo, params, n_nodes)
+    for _ in range(12):
+        hi *= 2.0
+        f_hi = _eps_at_q(hi, params, n_nodes)
+        if f_lo * f_hi <= 0:
+            break
+        lo, f_lo = hi, f_hi
+    else:
+        raise BracketFailureError(f"eps(q) does not change sign on [sqrt(h), {hi}]")
+    # Brent's method: b is the best estimate, [b, c] brackets the root, a is
+    # the previous b, d the last step and e the one before it
+    a, f_a, b, f_b = lo, f_lo, hi, f_hi
+    c, f_c, d, e = a, f_a, b - a, b - a
+    for _ in range(100):
+        if f_a * f_b < 0:
+            c, f_c, d, e = a, f_a, b - a, b - a
+        if abs(f_c) < abs(f_b):
+            a, f_a, b, f_b, c, f_c = b, f_b, c, f_c, b, f_b
+        delta, m = 2.0 * np.finfo(float).eps * b, 0.5 * (c - b)
+        if f_b == 0 or abs(m) < delta:
+            break
+        if abs(e) > delta and abs(f_b) < abs(f_a):
+            if a == c:  # secant
+                s = -f_b * (b - a) / (f_b - f_a)
+            else:  # inverse quadratic interpolation through a, b, c
+                d_a, d_c = (f_a - f_b) / (a - b), (f_c - f_b) / (c - b)
+                s = -f_b * (f_c * d_c - f_a * d_a) / (d_c * d_a * (f_c - f_a))
+            e, d = (d, s) if 2.0 * abs(s) < min(abs(e), 3.0 * abs(m) - delta) else (m, m)
         else:
-            lo, flo = mid, fmid
-        if hi - lo < 1e-12 * hi:
-            break
-    # secant polish
-    q0, q1 = lo, hi
-    f0, f1 = flo, fhi
-    for _ in range(30):
-        if f1 == f0:
-            break
-        q2 = q1 - f1 * (q1 - q0) / (f1 - f0)
-        if not (0 < q2 < 20.0 * np.sqrt(params.h)):
-            break
-        q0, f0 = q1, f1
-        q1, f1 = q2, _eps_at_q(q2, params, n_nodes)
-        if abs(f1) <= tol:
-            break
-    return q1 if abs(f1) <= abs(f0) else q0
+            e = d = m
+        a, f_a = b, f_b
+        b += d if abs(d) > delta else np.copysign(delta, m)
+        f_b = _eps_at_q(b, params, n_nodes)
+    if not abs(f_b) <= tol * params.h:
+        raise BracketFailureError(f"eps changes sign across a pole at q = {b} (eps = {f_b})")
+    return float(b)
 
 
 @dataclass
@@ -222,7 +240,7 @@ class DressedSet:
     def p(self, z):
         """p(z) = int_0^z p'(s) ds (p(0) = 0; p odd since p' is even)."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-        x, w = np.polynomial.legendre.leggauss(64)
+        x, w = legendre_rule(64)
         out = np.empty_like(z_arr)
         for i, zi in enumerate(z_arr):
             s = 0.5 * zi * (x + 1.0)
@@ -285,14 +303,5 @@ def dress_all(params: ModelParams, n_nodes: int = 96, tol: float = 1e-10) -> Dre
         driving_d1=lambda lam: 2.0 * np.ones_like(np.asarray(lam)),
     )
     det_IK = float(np.linalg.det(op.matrix))
-    return DressedSet(
-        params=params,
-        q=q,
-        grid=grid,
-        op=op,
-        p_d1_sol=p_d1_sol,
-        eps_sol=eps_sol,
-        eps_d1_sol=eps_d1_sol,
-        det_IK=det_IK,
-    )
+    return DressedSet(params, q, grid, op, p_d1_sol, eps_sol, eps_d1_sol, det_IK)
 

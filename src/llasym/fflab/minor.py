@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from ..dressing import legendre_rule
 from .discrete import integrable_resummation
 from .instances import AffineCounting, FFLabInstance, NuFunction, QuadraticPhase
 from .singsum import polyline_nodes
@@ -76,7 +77,7 @@ def fredholm_minor_limit(nu: NuFunction, phase: QuadraticPhase, q: float = np.pi
         return complex(s_contour)
 
     # Gauss-Legendre on the interval
-    t, wt = np.polynomial.legendre.leggauss(n_interval)
+    t, wt = legendre_rule(n_interval)
     t = q * t
     wt = q * wt
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dressing import legendre_rule
 from .instances import FFLabInstance
 
 __all__ = [
@@ -42,7 +43,7 @@ class ContourPlacementError(ValueError):
 def leg_nodes(z0: complex, z1: complex, max_panel: float = 0.25,
               n_gauss: int = 16):
     """Composite Gauss-Legendre nodes and complex weights along a segment."""
-    x, wx = np.polynomial.legendre.leggauss(n_gauss)
+    x, wx = legendre_rule(n_gauss)
     length = abs(z1 - z0)
     n_panels = max(1, int(np.ceil(length / max_panel)))
     edges = np.linspace(0.0, 1.0, n_panels + 1)

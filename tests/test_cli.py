@@ -94,6 +94,17 @@ def test_degenerate_saddle_exit_3(tmp_path, dressed_11):
     assert "DegenerateSaddleError" in res.stderr
 
 
+@pytest.mark.parametrize("cmd", ["amplitudes", "asymptotics"])
+def test_non_finite_amplitude_exit_2(tmp_path, cmd):
+    # at c = 0.05 det(I + V) overflows and the 2pF amplitude is NaN
+    cfg = tmp_path / "weak.cfg"
+    cfg.write_text("c = 0.05\nh = 1.0\nratio_t_over_x = 0.2\n")
+    res = run_cli(cmd, "--config", str(cfg))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "NonFiniteAmplitudeError" in res.stderr
+
+
 def test_no_file_written_on_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("c = -2.0\n")

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from llasym import ModelParams, dress_all
-from llasym.dressing import QuadGrid
+from llasym import ModelParams, assemble_expansion, dress_all, dressing
+from llasym.cli import main
+from llasym.dressing import BracketFailureError, QuadGrid, find_fermi_boundary, legendre_rule
 from llasym.model import StripError, lieb_kernel
 
 P11 = ModelParams(c=1.0, h=1.0)
@@ -130,6 +131,59 @@ def test_quad_grid_basics():
     g = QuadGrid.build(48, 1.3)
     assert g.weights.sum() == pytest.approx(2.6, rel=1e-14)
     assert np.allclose(g.nodes, -g.nodes[::-1], atol=1e-15)
+
+
+def test_legendre_rule_is_cached_read_only_and_exact():
+    x, w = legendre_rule(37)
+    assert legendre_rule(37) is legendre_rule(37)
+    assert not x.flags.writeable and not w.flags.writeable
+    x_ref, w_ref = np.polynomial.legendre.leggauss(37)
+    assert x.tobytes() == x_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+
+
+def test_rules_are_built_once_per_size():
+    """One expansion from parameters and one `llasym verify` build at most 6 rules."""
+    legendre_rule.cache_clear()
+    assemble_expansion(ModelParams(1.0, 1.0), 0.2)
+    assert main(["verify"]) == 0
+    assert legendre_rule.cache_info().misses <= 6
+
+
+def _count_eps_calls(monkeypatch, eps_at_q):
+    calls = []
+    monkeypatch.setattr(dressing, "_eps_at_q", lambda q, *a: calls.append(q) or eps_at_q(q, *a))
+    return calls
+
+
+# (0.05, 4) needs 192 nodes: at 96 the discretised eps has poles (see below)
+@pytest.mark.parametrize("c,h,n_nodes", [
+    (c, h, 192 if (c, h) == (0.05, 4.0) else 96)
+    for c in (0.05, 0.5, 1.0, 4.0, 64.0, 1e6) for h in (0.5, 1.0, 4.0)])
+def test_fermi_boundary_root_and_solve_count(monkeypatch, c, h, n_nodes):
+    params, eps_at_q = ModelParams(c=c, h=h), dressing._eps_at_q
+    calls = _count_eps_calls(monkeypatch, eps_at_q)
+    q = find_fermi_boundary(params, n_nodes=n_nodes)
+    assert len(calls) <= 12
+    assert abs(eps_at_q(q, params, n_nodes)) <= 1e-12
+    assert eps_at_q(q * (1 - 1e-12), params, n_nodes) < 0 < eps_at_q(q * (1 + 1e-12), params, n_nodes)
+
+
+def test_fermi_boundary_rejects_a_pole_of_the_discretised_eps():
+    # c = 0.05, h = 4 at 96 nodes: eps(q) jumps from -inf to +inf near
+    # q = 2.335, where I - K W/2pi is singular; there is no root to report
+    with pytest.raises(BracketFailureError, match="pole"):
+        find_fermi_boundary(ModelParams(c=0.05, h=4.0), n_nodes=96)
+
+
+@pytest.mark.parametrize("eps_at_q,fragment", [
+    (lambda q, *a: -1.0, "does not change sign"),
+    (lambda q, *a: 1.0 / (q - 0.5 * np.pi), "pole"),
+])
+def test_fermi_boundary_bracket_failures_are_bounded(monkeypatch, eps_at_q, fragment):
+    calls = _count_eps_calls(monkeypatch, eps_at_q)
+    with pytest.raises(BracketFailureError, match=fragment):
+        find_fermi_boundary(P11)
+    assert len(calls) <= 1 + 12 + 100  # sqrt(h), growth steps, Brent steps
 
 
 @given(c=st.floats(0.5, 40.0), h=st.floats(0.5, 4.0))
