@@ -277,7 +277,7 @@ def smooth_part_G(
 # assembled amplitudes
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class AmplitudeResult:
     """Assembled modulus-squared amplitude.
 
@@ -306,7 +306,17 @@ def amplitude(
     minus_q : A- B G_1(-q; q) exp{i pi/2 ((nu(-q)-1)^2 - nu(q)^2)}
     saddle  : e^{i pi/4} / (2 pi p'(lambda0)) A0 B G_1(lambda0; q)
               exp{i pi/2 (nu(-q)^2 - nu(q)^2)}
+
+    A contour of None is `default_contour(dressed)`.  The edge amplitudes
+    (empty, minus_q) do not depend on the ray, so each is computed once per
+    (dressed set, contour) and kept on the dressed set; the saddle amplitude
+    depends on lambda0 and is computed on every call.
     """
+    if contour is None:
+        contour = default_contour(dressed)
+    memo = dressed._edge_amplitudes
+    if (kind, contour) in memo:
+        return memo[kind, contour]
     q = dressed.q
     if kind == "empty":
         nu = special_shift("empty", dressed)
@@ -335,6 +345,9 @@ def amplitude(
     raw = complex(pre * a_fac * b_fac * g_fac * np.exp(phase))
     if not np.isfinite(raw):
         raise NonFiniteAmplitudeError(f"{kind} amplitude is not finite: {raw}")
-    return AmplitudeResult(
+    result = AmplitudeResult(
         kind=kind, value=float(raw.real), phase_residual=float(abs(raw.imag)), raw=raw
     )
+    if kind != "saddle":
+        memo[kind, contour] = result
+    return result

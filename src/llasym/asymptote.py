@@ -20,6 +20,8 @@ at -q.  Harmonic entries are reported but never summed into a value.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -232,26 +234,29 @@ def evaluate_rho(report: ExpansionReport, x: float, t: float) -> RhoValue:
     if abs(x - vF * t) < 1e-9 * x:
         raise LightConeError(f"(x, t) = ({x}, {t}) within 1e-9 x of the light cone")
 
-    log_plus = np.log(1j * (x + vF * t))  # principal branch
-    log_minus = np.log(-1j * (x - vF * t))
+    # principal branch.  The logs stay on numpy: for 0.5 < |z| < 2 its complex
+    # log and cmath.log differ in the last bit.  cmath.exp and math.sqrt below
+    # give numpy's bits at a fraction of the cost of its 0-d ufunc calls.
+    log_plus = complex(np.log(1j * (x + vF * t)))
+    log_minus = complex(np.log(-1j * (x - vF * t)))
 
     total = 0.0 + 0.0j
     moduli: dict = {}
     for term in report.terms:
         if not term.active:
             continue
-        decay = np.exp(
+        decay = cmath.exp(
             -term.exponent_minus * log_plus - term.exponent_plus * log_minus
         )
-        osc = np.exp(1j * x * term.frequency)
+        osc = cmath.exp(1j * x * term.frequency)
         if term.label == "saddle":
             # sqrt(-2 i pi / (t eps'' - x p'')) = e^{-i pi/4} sqrt(2 pi / (-x u''))
             curv = -x * report.u_dd_at_lambda0
             if curv <= 0:
                 raise ValueError("saddle curvature t eps'' - x p'' must be positive")
             pref = (
-                np.exp(-0.25j * np.pi)
-                * np.sqrt(2.0 * np.pi / curv)
+                cmath.exp(-0.25j * math.pi)
+                * math.sqrt(2.0 * math.pi / curv)
                 * report.p_d1_at_lambda0
             )
         else:

@@ -98,23 +98,37 @@ class SecondKindSolution:
     driving_d1: Callable | None = None
     driving_d2: Callable | None = None
 
-    def _extend(self, z, kernel, driving):
-        """driving(z) + (1/2pi) sum_k w_k kernel(z - lam_k) f_k; a missing driving is 0."""
+    def weighted_kernel(self, z, order: int = 0) -> np.ndarray:
+        """w_k K^(order)(z - lam_k): the matrix the order-th derivative's extension applies.
+
+        It depends on the grid only, so solutions on one grid can share it.
+        """
         _check_strip(z, self.params.c)
+        kernel = (lieb_kernel, lieb_kernel_d1, lieb_kernel_d2)[order]
+        return kernel(np.asarray(z)[..., None] - self.grid.nodes, self.params) * self.grid.weights
+
+    def extend(self, z, order: int = 0, kzw: np.ndarray | None = None):
+        """f^(order)(z) = driving^(order)(z) + (1/2pi) sum_k w_k K^(order)(z - lam_k) f_k.
+
+        A missing driving derivative is 0; `kzw` is `weighted_kernel(z, order)`,
+        built here unless the caller already has it.
+        """
+        if kzw is None:
+            kzw = self.weighted_kernel(z, order)
         z = np.asarray(z)
-        kz = kernel(z[..., None] - self.grid.nodes, self.params)
+        driving = (self.driving, self.driving_d1, self.driving_d2)[order]
         g = driving(z) if driving is not None else 0.0
-        out = g + (kz * self.grid.weights) @ self.values / (2.0 * np.pi)
+        out = g + kzw @ self.values / (2.0 * np.pi)
         return out[()] if out.ndim == 0 else out
 
     def __call__(self, z):
-        return self._extend(z, lieb_kernel, self.driving)
+        return self.extend(z, 0)
 
     def d1(self, z):
-        return self._extend(z, lieb_kernel_d1, self.driving_d1)
+        return self.extend(z, 1)
 
     def d2(self, z):
-        return self._extend(z, lieb_kernel_d2, self.driving_d2)
+        return self.extend(z, 2)
 
 
 def nystrom_matrix(grid: QuadGrid, params: ModelParams) -> np.ndarray:
@@ -151,25 +165,32 @@ class NystromOperator:
         return SecondKindSolution(self.grid, self.params, vals, driving, driving_d1, driving_d2)
 
 
-def _eps_at_q(q: float, params: ModelParams, n_nodes: int) -> float:
-    grid = QuadGrid.build(n_nodes, q)
+def _eps_at_q(q: float, params: ModelParams, n_nodes: int, operators: dict | None = None) -> float:
+    """eps(q) on the grid [-q, q]; the operator built for it goes to `operators[q]`."""
+    grid = QuadGrid.build(n_nodes, float(q))
     op = NystromOperator(grid, params)
+    if operators is not None:
+        operators[q] = op
     eps = op.solve(lambda lam: lam * lam - params.h)
     return float(eps(q))
 
 
-def find_fermi_boundary(params: ModelParams, tol: float = 1e-10, n_nodes: int = 96) -> float:
+def find_fermi_boundary(
+    params: ModelParams, tol: float = 1e-10, n_nodes: int = 96, operators: dict | None = None
+) -> float:
     """q > 0 with eps(q) = 0, by Brent's method on a bracket grown from sqrt(h).
 
     eps(sqrt(h)) < 0 for c > 0; the upper end doubles (at most 12 times) until
     eps changes sign, then the bracket closes to a few ulps of q.  |eps(q)| >
     tol * h there means a pole of the discretised eps (too few nodes for c).
+    A dict passed as `operators` ends up holding the `NystromOperator` built
+    at the returned q (keyed by q), so `dress_all` need not build it again.
     """
     lo = hi = float(np.sqrt(params.h))
-    f_lo = _eps_at_q(lo, params, n_nodes)
+    f_lo = _eps_at_q(lo, params, n_nodes, operators)
     for _ in range(12):
         hi *= 2.0
-        f_hi = _eps_at_q(hi, params, n_nodes)
+        f_hi = _eps_at_q(hi, params, n_nodes, operators)
         if f_lo * f_hi <= 0:
             break
         lo, f_lo = hi, f_hi
@@ -198,7 +219,10 @@ def find_fermi_boundary(params: ModelParams, tol: float = 1e-10, n_nodes: int = 
             e = d = m
         a, f_a = b, f_b
         b += d if abs(d) > delta else np.copysign(delta, m)
-        f_b = _eps_at_q(b, params, n_nodes)
+        f_b = _eps_at_q(b, params, n_nodes, operators)
+        if operators is not None:  # the q returned is b, or c after a swap
+            for key in operators.keys() - {a, b, c}:
+                del operators[key]
     if not abs(f_b) <= tol * params.h:
         raise BracketFailureError(f"eps changes sign across a pole at q = {b} (eps = {f_b})")
     return float(b)
@@ -223,7 +247,11 @@ class DressedSet:
     pF: float = field(init=False)
     D: float = field(init=False)
     vF: float = field(init=False)
-    _phi_cache: dict = field(default_factory=dict, repr=False)
+    # per-set memos, empty in every new set (`dataclasses.replace` included):
+    # phi solves by mu, and the ray-independent amplitudes that
+    # `amplitudes.amplitude` keeps by (kind, contour)
+    _phi_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _edge_amplitudes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.pF = float(self.p(self.q))
@@ -236,6 +264,12 @@ class DressedSet:
 
     def p_d2(self, z):
         return self.p_d1_sol.d1(z)
+
+    def p_eps_d(self, z, order: int = 1) -> tuple:
+        """(p^(order)(z), eps^(order)(z)) for order 1 or 2 from one weighted kernel
+        matrix, bit-identical to (p_d1(z), eps_d1(z)) and (p_d2(z), eps_d2(z))."""
+        kzw = self.p_d1_sol.weighted_kernel(z, order - 1)
+        return self.p_d1_sol.extend(z, order - 1, kzw), self.eps_d1_sol.extend(z, order - 1, kzw)
 
     def p(self, z):
         """p(z) = int_0^z p'(s) ds (p(0) = 0; p odd since p' is even)."""
@@ -286,9 +320,10 @@ class DressedSet:
 
 def dress_all(params: ModelParams, n_nodes: int = 96, tol: float = 1e-10) -> DressedSet:
     """Solve the full dressed set at the Fermi boundary fixed by eps(+-q)=0."""
-    q = find_fermi_boundary(params, tol=tol, n_nodes=n_nodes)
-    grid = QuadGrid.build(n_nodes, q)
-    op = NystromOperator(grid, params)
+    operators: dict = {}
+    q = find_fermi_boundary(params, tol=tol, n_nodes=n_nodes, operators=operators)
+    op = operators[q]
+    grid = op.grid
     one = lambda lam: np.ones_like(np.asarray(lam, dtype=float)) if np.isrealobj(np.asarray(lam)) else np.ones_like(np.asarray(lam))
     p_d1_sol = op.solve(one)
     eps_sol = op.solve(

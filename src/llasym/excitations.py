@@ -141,13 +141,15 @@ def u_combination(lam, ratio_t_over_x: float, dressed: DressedSet, method: str =
 
 
 def u_d1(lam, ratio_t_over_x: float, dressed: DressedSet):
-    """u'(lam) = p'(lam) - (t/x) eps'(lam)."""
-    return dressed.p_d1(lam) - ratio_t_over_x * dressed.eps_d1(lam)
+    """u'(lam) = p'(lam) - (t/x) eps'(lam), both from one kernel matrix."""
+    p_d1, eps_d1 = dressed.p_eps_d(lam, 1)
+    return p_d1 - ratio_t_over_x * eps_d1
 
 
 def u_d2(lam, ratio_t_over_x: float, dressed: DressedSet):
-    """u''(lam) = p''(lam) - (t/x) eps''(lam)."""
-    return dressed.p_d2(lam) - ratio_t_over_x * dressed.eps_d2(lam)
+    """u''(lam) = p''(lam) - (t/x) eps''(lam), both from one kernel matrix."""
+    p_d2, eps_d2 = dressed.p_eps_d(lam, 2)
+    return p_d2 - ratio_t_over_x * eps_d2
 
 
 def find_saddle(

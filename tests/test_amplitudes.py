@@ -6,10 +6,21 @@ invariance (analyticity), node-doubling stability, phase collapse, and the
 impenetrable-limit closed form pi G(1/2)^4 sqrt(q/2).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from llasym import ModelParams, amplitude, default_contour, dress_all, find_saddle, special_shift
+from llasym import (
+    ModelParams,
+    amplitude,
+    amplitudes,
+    assemble_expansion,
+    default_contour,
+    dress_all,
+    find_saddle,
+    special_shift,
+)
 from llasym.amplitudes import (
     ContourSpec,
     functional_Aminus,
@@ -121,3 +132,46 @@ def test_edge_functionals_finite_and_conjugate_structure(dressed_11):
     am = functional_Aminus(nu_m, dressed_11)
     assert np.isfinite(ap) and np.isfinite(am)
     assert ap != 0 and am != 0
+
+
+def _count_smooth_parts(monkeypatch):
+    calls = []
+    smooth = amplitudes.smooth_part_G
+    monkeypatch.setattr(amplitudes, "smooth_part_G",
+                        lambda *a, **k: calls.append(a[0]) or smooth(*a, **k))
+    return calls
+
+
+def test_edge_amplitudes_are_computed_once_per_dressed_set(monkeypatch, dressed_11):
+    d = replace(dressed_11)  # a set with empty memos
+    calls = _count_smooth_parts(monkeypatch)
+    assemble_expansion(d, RATIO)
+    assert len(calls) == 3
+    calls.clear()
+    assemble_expansion(d, 0.3)  # space-like: only the saddle amplitude is new
+    assert len(calls) == 1
+    calls.clear()
+    assemble_expansion(d, 2.0)  # time-like: no amplitude is new
+    assert len(calls) == 0
+
+
+def test_a_new_contour_misses_the_memo(monkeypatch, dressed_11):
+    d = replace(dressed_11)
+    default = amplitude("minus_q", d)
+    assert amplitude("minus_q", d, contour=default_contour(d)) is default
+    calls = _count_smooth_parts(monkeypatch)
+    doubled = amplitude("minus_q", d, contour=default_contour(d, 512))
+    assert len(calls) == 1
+    expected = amplitude("minus_q", replace(dressed_11), contour=default_contour(d, 512))
+    assert doubled.raw == expected.raw and doubled.raw != default.raw
+
+
+def test_memoised_amplitudes_equal_a_fresh_computation():
+    params = ModelParams(4.0, 1.0)
+    d = dress_all(params)
+    assemble_expansion(d, RATIO)
+    reused = assemble_expansion(d, 0.1).amplitudes
+    fresh = assemble_expansion(dress_all(params), 0.1).amplitudes
+    assert reused.keys() == fresh.keys() == {"saddle", "two_pF", "zero_freq"}
+    for label in fresh:
+        assert repr(reused[label].raw) == repr(fresh[label].raw)

@@ -159,3 +159,45 @@ def test_exponents_scale_invariant(s):
     # momenta scale linearly
     assert scaled.pF == pytest.approx(s * base.pF, rel=1e-8)
     assert scaled.lambda0 == pytest.approx(s * base.lambda0, rel=1e-7)
+
+
+def _rho_numpy(report, x, t):
+    """evaluate_rho's value and moduli written with numpy 0-d ufuncs throughout."""
+    vF = report.vF
+    log_plus = np.log(1j * (x + vF * t))
+    log_minus = np.log(-1j * (x - vF * t))
+    total = 0.0 + 0.0j
+    moduli = {}
+    for term in report.terms:
+        if not term.active:
+            continue
+        decay = np.exp(-term.exponent_minus * log_plus - term.exponent_plus * log_minus)
+        osc = np.exp(1j * x * term.frequency)
+        if term.label == "saddle":
+            curv = -x * report.u_dd_at_lambda0
+            pref = np.exp(-0.25j * np.pi) * np.sqrt(2.0 * np.pi / curv) * report.p_d1_at_lambda0
+        else:
+            pref = 1.0
+        contrib = pref * osc * term.amplitude * decay
+        total += contrib
+        moduli[term.label] = float(abs(contrib))
+    return complex(total), moduli
+
+
+@pytest.mark.parametrize("fixture", ["dressed_11", "dressed_41"])
+def test_evaluate_rho_bit_for_bit_equals_the_numpy_formula(request, fixture):
+    """5000 seeded points per coupling over both regimes, x in [0.3, 3000]: for
+    x of order 1, |x -+ vF t| falls where numpy's and cmath's complex logs differ."""
+    d = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(7)
+    for ratio in (0.5 / d.vF, 2.0 / d.vF):
+        report = assemble_expansion(d, ratio)
+        xs = np.exp(rng.uniform(np.log(0.3), np.log(3000.0), 2500)).tolist()
+        ours, ref = [], []
+        for x in xs:
+            rho = evaluate_rho(report, x, ratio * x)
+            value, moduli = _rho_numpy(report, x, ratio * x)
+            ours.append((rho.value.real, rho.value.imag, *rho.term_moduli.values()))
+            ref.append((value.real, value.imag, *moduli.values()))
+            assert rho.term_moduli.keys() == moduli.keys()
+        assert np.array(ours).tobytes() == np.array(ref).tobytes()

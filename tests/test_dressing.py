@@ -6,12 +6,14 @@ sharing no quadrature or solver code with the package's Gauss-Legendre
 Nystrom route.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from llasym import ModelParams, assemble_expansion, dress_all, dressing
+from llasym import ModelParams, amplitude, assemble_expansion, dress_all, dressing
 from llasym.cli import main
 from llasym.dressing import BracketFailureError, QuadGrid, find_fermi_boundary, legendre_rule
 from llasym.model import StripError, lieb_kernel
@@ -200,3 +202,28 @@ def test_dress_invariants_random_params(c, h):
     assert abs(zq**2 / (2.0 * d.pF / d.vF) - 1.0) < 1e-7
     assert float(d.Z(0.0)) > zq
     assert d.q > np.sqrt(h)
+
+
+@pytest.mark.parametrize("c,h", [(1.0, 1.0), (4.0, 1.0), (0.5, 4.0), (64.0, 0.5)])
+def test_dress_all_reuses_the_operator_of_the_fermi_search(monkeypatch, c, h):
+    """One LU per eps(q) solve and none more: the operator at q comes from the search."""
+    params, lu_calls = ModelParams(c=c, h=h), []
+    eps_calls = _count_eps_calls(monkeypatch, dressing._eps_at_q)
+    lu_factor = dressing.lu_factor
+    monkeypatch.setattr(dressing, "lu_factor", lambda a: lu_calls.append(1) or lu_factor(a))
+    d = dress_all(params)
+    assert len(lu_calls) == len(eps_calls)
+    assert d.op.grid.q == d.q and type(d.op.grid.q) is float
+    fresh = dressing.NystromOperator(QuadGrid.build(96, d.q), params)
+    assert fresh.matrix.tobytes() == d.op.matrix.tobytes()
+    assert fresh._lu[0].tobytes() == d.op._lu[0].tobytes()
+
+
+def test_replaced_set_starts_with_empty_caches(dressed_11):
+    dressed_11.phi(0.1, 0.3)
+    amplitude("empty", dressed_11)
+    assert dressed_11._phi_cache and dressed_11._edge_amplitudes
+    fresh = replace(dressed_11)
+    assert fresh._phi_cache == {} and fresh._edge_amplitudes == {}
+    fresh.phi(0.1, 0.2718)
+    assert complex(0.2718) in fresh._phi_cache and complex(0.2718) not in dressed_11._phi_cache

@@ -199,3 +199,16 @@ def test_scale_covariance_of_saddle():
         assert scaled.q == pytest.approx(s * base.q, rel=1e-9)
         lam0_s, _ = find_saddle(r / s, scaled)
         assert lam0_s == pytest.approx(s * lam0, rel=1e-8)
+
+
+@pytest.mark.parametrize("ratio", [0.05, 0.2, 1.5])
+@pytest.mark.parametrize("fixture", ["dressed_11", "dressed_41", "dressed_162"])
+def test_u_derivatives_share_one_kernel_matrix_bit_for_bit(request, fixture, ratio):
+    """u' and u'' from one kernel matrix equal p^(k) - r eps^(k) built separately."""
+    d = request.getfixturevalue(fixture)
+    grid = np.linspace(-5.0 * d.q, 5.0 * d.q, 4001)
+    for lam in (grid, 0.37 * d.q, d.q):  # the saddle scan and single Newton points
+        assert np.asarray(u_d1(lam, ratio, d)).tobytes() == np.asarray(
+            d.p_d1(lam) - ratio * d.eps_d1(lam)).tobytes()
+        assert np.asarray(u_d2(lam, ratio, d)).tobytes() == np.asarray(
+            d.p_d2(lam) - ratio * d.eps_d2(lam)).tobytes()
