@@ -11,7 +11,8 @@ nu of the corresponding one particle / one hole excitation:
 * the smooth part G_n: Cauchy-transform prefactors times a ratio of two
   Fredholm determinants on a closed contour around [-q, q] over
   det^2(I - K/2pi),
-* an explicit pure phase exp{i pi/2 (...)} built from boundary shift values.
+* an explicit pure phase exp{i pi/2 (e- - e+)} from the term's exponent pair
+  (e+, e-), the squared boundary shift values of its ledger pair.
 
 Assembled values are moduli squared of properly normalised form factors:
 real and positive.  The residual imaginary part is reported, not discarded
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from .dressing import DressedSet, QuadGrid
-from .excitations import ShiftFn, special_shift, SPACE_LIKE, TIME_LIKE
+from .excitations import SPACE_LIKE, TERMS, TIME_LIKE, ShiftFn, ledger_exponents, special_shift
 from .model import lieb_kernel
 from .specfun import barnes_g_log, c0_double_integral, cauchy_segment, log_kappa
 
@@ -302,45 +303,39 @@ def amplitude(
 ) -> AmplitudeResult:
     """Amplitude of one explicit term: kind in {"empty", "minus_q", "saddle"}.
 
-    empty   : A+ B G_0 exp{i pi/2 (nu(-q)^2 - (nu(q)+1)^2)}
-    minus_q : A- B G_1(-q; q) exp{i pi/2 ((nu(-q)-1)^2 - nu(q)^2)}
+    empty   : A+ B G_0
+    minus_q : A- B G_1(-q; q)
     saddle  : e^{i pi/4} / (2 pi p'(lambda0)) A0 B G_1(lambda0; q)
-              exp{i pi/2 (nu(-q)^2 - nu(q)^2)}
 
-    A contour of None is `default_contour(dressed)`.  The edge amplitudes
-    (empty, minus_q) do not depend on the ray, so each is computed once per
-    (dressed set, contour) and kept on the dressed set; the saddle amplitude
-    depends on lambda0 and is computed on every call.
+    each times exp{i pi/2 (e- - e+)}, with (e+, e-) the exponent pair of the
+    kind's ledger pair in TERMS.  A contour of None is `default_contour(dressed)`.
+    The edge amplitudes (empty, minus_q) do not depend on the ray, so each is
+    computed once per (dressed set, contour) and kept on the dressed set; the
+    saddle amplitude depends on lambda0 and is computed on every call.
     """
     if contour is None:
         contour = default_contour(dressed)
     memo = dressed._edge_amplitudes
     if (kind, contour) in memo:
         return memo[kind, contour]
+    if kind == "saddle" and (lambda0 is None or regime is None):
+        raise ValueError("saddle amplitude needs lambda0 and regime")
+    nu = special_shift(kind, dressed, lambda0)  # raises on an unknown kind
     q = dressed.q
+    pre = 1.0
     if kind == "empty":
-        nu = special_shift("empty", dressed)
         a_fac = functional_Aplus(nu, dressed)
         g_fac = smooth_part_G(nu, dressed, (), (), contour)
-        phase = 0.5j * np.pi * (nu.at_minus_q**2 - (nu.at_q + 1.0) ** 2)
-        pre = 1.0
     elif kind == "minus_q":
-        nu = special_shift("minus_q", dressed)
         a_fac = functional_Aminus(nu, dressed)
         g_fac = smooth_part_G(nu, dressed, (-q,), (q,), contour)
-        phase = 0.5j * np.pi * ((nu.at_minus_q - 1.0) ** 2 - nu.at_q**2)
-        pre = 1.0
-    elif kind == "saddle":
-        if lambda0 is None or regime is None:
-            raise ValueError("saddle amplitude needs lambda0 and regime")
-        nu = special_shift("saddle", dressed, lambda0)
+    else:
         a_fac = functional_A0(nu, dressed, lambda0, regime)
         g_fac = smooth_part_G(nu, dressed, (float(lambda0),), (q,), contour)
-        phase = 0.5j * np.pi * (nu.at_minus_q**2 - nu.at_q**2)
         pre = np.exp(0.25j * np.pi) / (2.0 * np.pi * float(dressed.p_d1(lambda0)))
-    else:
-        raise ValueError(f"unknown amplitude kind {kind!r}")
 
+    e_plus, e_minus, _ = ledger_exponents(nu, dict(TERMS.values())[kind])  # the kind's pair
+    phase = 0.5j * np.pi * (e_minus - e_plus)
     b_fac = functional_B(nu, dressed)
     raw = complex(pre * a_fac * b_fac * g_fac * np.exp(phase))
     if not np.isfinite(raw):

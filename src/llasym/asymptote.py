@@ -1,10 +1,10 @@
 """Assembly and pointwise evaluation of the long-time / large-distance
 expansion of the one-particle density matrix at fixed ratio t/x.
 
-The expansion is the sum of three explicit oscillating terms (one per
-one particle / one hole excitation pinned to the Fermi boundaries or the
-saddle point) plus a ledger of subleading harmonics whose amplitudes are
-not predicted by the method:
+The expansion is a sum over harmonics (l+, l-), each one `LedgerRow`: three
+explicit oscillating terms, the pairs of `TERMS` (one particle / one hole
+excitations pinned to the Fermi boundaries or the saddle point), plus the
+subleading harmonics, whose amplitudes the method does not predict:
 
 rho(x,t) ~ e^{-i pi/4} sqrt(2 pi / (t eps'' - x p'')(lam0)) p'(lam0)
              e^{i x [u(lam0) - u(q)]} Amp_saddle
@@ -31,11 +31,13 @@ import numpy as np
 from .amplitudes import ContourSpec, amplitude
 from .dressing import DressedSet, dress_all
 from .excitations import (
-    SPACE_LIKE,
-    critical_exponent_pair,
+    TERMS,
+    LedgerRow,
+    active_terms,
     find_saddle,
     harmonic_table,
-    special_shift,
+    ledger_exponents,
+    ledger_shifts,
     u_combination,
     u_d2,
 )
@@ -49,42 +51,12 @@ class RatioMismatchError(ValueError):
     """Evaluation point (x, t) inconsistent with the ratio the expansion was built at."""
 
 
-@dataclass(frozen=True)
-class AsymptoticTerm:
-    """One term of the expansion.
-
-    exponent_plus  : power of (x - vF t)   (right Fermi boundary +q)
-    exponent_minus : power of (x + vF t)   (left Fermi boundary -q)
-    extra_power    : additional power of x (1/2 for the saddle term,
-                     |l+ + l-|/2 for harmonics)
-    amplitude      : assembled amplitude, or None when not predicted
-    active         : whether the term enters evaluated values
-    """
-
-    label: str
-    frequency: float
-    exponent_plus: float
-    exponent_minus: float
-    extra_power: float = 0.0
-    amplitude: float | None = None
-    active: bool = True
-
-
-# label -> (shift kind, exponent offsets at (+q, -q), extra power of x); the
-# shift kind is also the amplitude kind
-TERMS = {
-    "saddle": ("saddle", (0.0, 0.0), 0.5),
-    "two_pF": ("minus_q", (0.0, -1.0), 0.0),
-    "zero_freq": ("empty", (1.0, 0.0), 0.0),
-}
-
-
 @dataclass
 class ExpansionReport:
     """The expansion at one ratio t/x, computed stage by stage on first use.
 
-    dressed -> saddle -> shifts -> exponents -> amplitudes -> terms, with the
-    harmonic ledger beside: reading `exponents` never assembles an amplitude,
+    dressed -> saddle -> shift_values -> exponents -> amplitudes -> terms, with
+    the harmonic ledger beside: reading `exponents` never assembles an amplitude,
     and an error of a stage is raised by the first read that needs it.  A
     contour of None is `default_contour(dressed)`.
     """
@@ -132,58 +104,46 @@ class ExpansionReport:
         return float(self.dressed.p_d1(self.lambda0))
 
     @cached_property
-    def shifts(self) -> dict:
-        """Shift function of each explicit term, by label."""
-        return {label: special_shift(kind, self.dressed, self.lambda0)
-                for label, (kind, _, _) in TERMS.items()}
+    def shift_values(self) -> dict:
+        """ShiftValues D+- of each explicit term's ledger pair, by label."""
+        pairs = [pair for _, pair in TERMS.values()]
+        return dict(zip(TERMS, ledger_shifts(pairs, self.dressed, self.lambda0)))
 
     @cached_property
     def exponents(self) -> dict:
-        """(power of x - vF t, power of x + vF t) of each explicit term, by label."""
-        return {label: critical_exponent_pair(self.shifts[label], *offsets)
-                for label, (_, offsets, _) in TERMS.items()}
+        """(power of x - vF t, power of x + vF t, extra power of x) of each
+        explicit term, by label."""
+        return {label: ledger_exponents(self.shift_values[label], pair)
+                for label, (_, pair) in TERMS.items()}
 
     @cached_property
     def amplitudes(self) -> dict:
-        """AmplitudeResult of each active term, by label.
-
-        The saddle term is active only in the space-like regime; in the
-        time-like regime the saddle-vicinity physics lives in the (-1, 0)
-        harmonic and its amplitude is not predicted.
-        """
+        """AmplitudeResult of each active term, by label."""
         return {
             label: amplitude(kind, self.dressed, lambda0=self.lambda0, regime=self.regime,
                              contour=self.contour)
-            for label, (kind, _, _) in TERMS.items()
-            if label != "saddle" or self.regime == SPACE_LIKE
+            for label, (kind, _) in active_terms(self.regime).items()
         }
 
     @cached_property
     def terms(self) -> list:
-        """One AsymptoticTerm per entry of TERMS, inactive ones with amplitude None."""
+        """One LedgerRow per entry of TERMS, inactive ones with amplitude None."""
         frequency = {"saddle": self.u_at_lambda0 - self.pF,  # u(q) = p(q) since eps(q) = 0
                      "two_pF": -2.0 * self.pF, "zero_freq": 0.0}
         amps = self.amplitudes
         return [
-            AsymptoticTerm(label, frequency[label], *self.exponents[label], extra_power,
-                           amps[label].value if label in amps else None, label in amps)
-            for label, (_, _, extra_power) in TERMS.items()
+            LedgerRow(label, *pair, frequency[label], *self.exponents[label],
+                      amps[label].value if label in amps else None, label in amps)
+            for label, (_, pair) in TERMS.items()
         ]
-
-    @cached_property
-    def harmonic_entries(self) -> list:
-        """HarmonicEntry of each pair |l+-| <= max_abs_ell in the ledger."""
-        return harmonic_table(self.max_abs_ell, self.dressed, self.lambda0, self.regime,
-                              self.ratio_t_over_x)
 
     @cached_property
     def harmonics(self) -> list:
-        """The harmonic ledger as inactive terms with amplitude None, never summed."""
-        return [
-            AsymptoticTerm(f"harmonic({e.ell_plus:+d},{e.ell_minus:+d})", e.frequency,
-                           e.exponent_plus, e.exponent_minus, e.extra_power, None, False)
-            for e in self.harmonic_entries
-        ]
+        """The ledger rows |l+-| <= max_abs_ell beside the explicit terms, never summed."""
+        return harmonic_table(self.max_abs_ell, self.dressed, self.lambda0, self.regime,
+                              self.ratio_t_over_x)
+
+    harmonic_entries = property(lambda self: self.harmonics)  # the ledger's earlier name
 
 
 def assemble_expansion(

@@ -22,18 +22,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from . import fflab
-from .amplitudes import ResonanceError, amplitude, default_contour
+from .amplitudes import amplitude, default_contour
 from .asymptote import (
     TERMS,
     ExpansionReport,
-    LightConeError,
-    RatioMismatchError,
     assemble_expansion,  # noqa: F401 -- patched by name in benchmarks/spans.py
     evaluate_rho,
 )
@@ -42,13 +40,13 @@ from .excitations import (
     DegenerateSaddleError,
     MultipleSaddlesError,
     NoSaddleError,
-    critical_exponent_pair,
     find_saddle,  # noqa: F401 -- patched by name in benchmarks/spans.py
     harmonic_table,  # noqa: F401 -- patched by name in benchmarks/spans.py
+    ledger_exponents,
     special_shift,
     u_d1,
 )
-from .model import ModelParams, StripError
+from .model import ModelParams
 from .specfun import barnes_g_log
 
 EXIT_OK = 0
@@ -57,16 +55,9 @@ EXIT_CONFIG = 2
 EXIT_SADDLE = 3
 
 SADDLE_ERRORS = (NoSaddleError, MultipleSaddlesError, DegenerateSaddleError)
-SOLVER_ERRORS = (
-    BracketFailureError,
-    SingularSystemError,
-    StripError,
-    ResonanceError,
-    LightConeError,
-    RatioMismatchError,
-    np.linalg.LinAlgError,
-    ValueError,
-)
+# ValueError covers StripError, ResonanceError, NonFiniteAmplitudeError,
+# LightConeError, RatioMismatchError and np.linalg.LinAlgError
+SOLVER_ERRORS = (BracketFailureError, SingularSystemError, ValueError)
 
 
 class ConfigError(ValueError):
@@ -122,10 +113,6 @@ class RunConfig:
         return [(x, r * x) for x in (20.0, 40.0, 80.0)]
 
 
-_FLOAT_KEYS = ("c", "h", "ratio_t_over_x", "perturb")
-_INT_KEYS = ("n_nodes", "contour_nodes", "max_abs_ell")
-
-
 def _as_number(kind: type, key: str, val: str):
     try:
         return kind(val)
@@ -148,6 +135,15 @@ def _parse_eval_points(text: str) -> tuple:
     return tuple(pts)
 
 
+# how a config file value is read, by the type of its RunConfig field
+_READERS = {
+    "float": lambda key, val: _as_number(float, key, val),
+    "int": lambda key, val: _as_number(int, key, val),
+    "tuple": lambda key, val: _parse_eval_points(val),
+    "str": lambda key, val: val,
+}
+
+
 def load_config_file(path: str) -> dict:
     """Flat key=value lines; '#' starts a comment; blank lines ignored."""
     try:
@@ -168,29 +164,16 @@ def load_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    """RunConfig from the config file, then the options given on the command line."""
+    types = {f.name: f.type for f in fields(RunConfig)}
     raw = load_config_file(args.config) if args.config else {}
+    values = {}
     for key, val in raw.items():
-        if key in _FLOAT_KEYS:
-            cfg = replace(cfg, **{key: _as_number(float, key, val)})
-        elif key in _INT_KEYS:
-            cfg = replace(cfg, **{key: _as_number(int, key, val)})
-        elif key == "eval_points":
-            cfg = replace(cfg, eval_points=_parse_eval_points(val))
-        elif key == "output_path":
-            cfg = replace(cfg, output_path=val)
-        else:
+        if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
-    if args.nodes is not None:
-        cfg = replace(cfg, n_nodes=args.nodes)
-    if args.contour_nodes is not None:
-        cfg = replace(cfg, contour_nodes=args.contour_nodes)
-    if args.max_ell is not None:
-        cfg = replace(cfg, max_abs_ell=args.max_ell)
-    if getattr(args, "perturb", None) is not None:
-        cfg = replace(cfg, perturb=args.perturb)
-    if args.out is not None:
-        cfg = replace(cfg, output_path=args.out)
+        values[key] = _READERS[types[key]](key, val)
+    values.update((key, val) for key, val in vars(args).items() if key in types and val is not None)
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
@@ -261,8 +244,8 @@ def cmd_exponents(cfg: RunConfig) -> str:
     report = expansion(cfg)
     lines = _header("exponents", cfg, ("c", "h", "ratio_t_over_x", "n_nodes"), report, _SADDLE_FIELDS)
     lines.append("label,nu_at_q,nu_at_minus_q,exponent_plus,exponent_minus")
-    for label, nu in report.shifts.items():
-        lines.append(_row(label, nu.at_q, nu.at_minus_q, *report.exponents[label]))
+    for label, nu in report.shift_values.items():
+        lines.append(_row(label, nu.at_q, nu.at_minus_q, *report.exponents[label][:2]))
     return "\n".join(lines) + "\n"
 
 
@@ -285,7 +268,7 @@ def cmd_harmonics(cfg: RunConfig) -> str:
     keys = ("c", "h", "ratio_t_over_x", "n_nodes", "max_abs_ell")
     lines = _header("harmonics", cfg, keys, report, _SADDLE_FIELDS)
     lines.append("ell_plus,ell_minus,frequency,exponent,amplitude")
-    for e in report.harmonic_entries:
+    for e in report.harmonics:
         lines.append(_row(str(e.ell_plus), str(e.ell_minus), e.frequency, e.exponent, "UNKNOWN"))
     return "\n".join(lines) + "\n"
 
@@ -357,8 +340,8 @@ def _z_boundary_residual(d, perturb: float) -> float:
 
 def _exponent_deviation(d, label: str, expected: tuple) -> float:
     """Exponent pair of an edge term of TERMS (no saddle needed) against `expected`."""
-    kind, offsets, _ = TERMS[label]
-    ep, em = critical_exponent_pair(special_shift(kind, d), *offsets)
+    kind, pair = TERMS[label]
+    ep, em, _ = ledger_exponents(special_shift(kind, d), pair)
     return max(abs(ep - expected[0]), abs(em - expected[1]))
 
 
@@ -502,14 +485,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name in (*_COMMANDS, "verify"):
         p = sub.add_parser(name, help=_HELP[name])
         p.add_argument("--config", metavar="PATH", default=None, help="key=value config file")
-        p.add_argument("--out", metavar="PATH", default=None, help="output file (default stdout)")
-        p.add_argument("--nodes", metavar="N", type=int, default=None, help="quadrature nodes")
+        p.add_argument("--out", dest="output_path", metavar="PATH", default=None,
+                       help="output file (default stdout)")
+        p.add_argument("--nodes", dest="n_nodes", metavar="N", type=int, default=None,
+                       help="quadrature nodes")
         p.add_argument(
             "--contour-nodes", metavar="N", type=int, default=None, help="contour quadrature nodes"
         )
-        p.add_argument(
-            "--max-ell", metavar="K", type=int, default=None, help="harmonic ladder bound"
-        )
+        p.add_argument("--max-ell", dest="max_abs_ell", metavar="K", type=int, default=None,
+                       help="harmonic ladder bound")
         if name == "verify":
             p.add_argument(
                 "--perturb",

@@ -248,7 +248,8 @@ class DressedSet:
     D: float = field(init=False)
     vF: float = field(init=False)
     # per-set memos, empty in every new set (`dataclasses.replace` included):
-    # phi solves by mu, and the ray-independent amplitudes that
+    # phi solves by mu (those at +-q, and the latest other mu: the current
+    # ray's lambda0), and the ray-independent amplitudes that
     # `amplitudes.amplitude` keeps by (kind, contour)
     _phi_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _edge_amplitudes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -306,6 +307,9 @@ class DressedSet:
                 driving_d1=lambda lam: lieb_kernel(lam - mu, pr) / (2.0 * np.pi),
                 driving_d2=lambda lam: lieb_kernel_d1(lam - mu, pr) / (2.0 * np.pi),
             )
+            edges = (self.q, -self.q)
+            if key not in edges:  # the next lambda0 replaces the last one
+                self._phi_cache = {k: v for k, v in self._phi_cache.items() if k in edges}
             self._phi_cache[key] = sol
         return sol
 

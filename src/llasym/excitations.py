@@ -16,18 +16,22 @@ The three combinations entering the explicit asymptotic terms are built by
 (the hole at q implicit in these combinations is *not* added by
 `shift_function`; callers build custom excitations from the literal sets).
 
-Critical exponents are squares of boundary values of these functions; the
+Critical exponents are squares of boundary values of shift functions.  The
 harmonic ledger carries, for each pair of integers (l+, l-) subject to
 eta (l+ + l-) >= 0, the frequency l+ u(q) + l- u(-q) - (l+ + l-) u(lam0)
 and the exponent (1 + l+ + D+)^2 + (D- - l-)^2 + |l+ + l-|/2 with
 
     D(+-) = -Z(+-q)/2 - l- phi(+-q, -q) - (l+ + 1) phi(+-q, q)
             + (l+ + l-) phi(+-q, lam0).
+
+The three explicit terms are rows of this ledger (`TERMS`): at their pairs
+D(+-) is the boundary value of the matching special shift.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +53,21 @@ class DegenerateSaddleError(RuntimeError):
 
 SPACE_LIKE = "space-like"
 TIME_LIKE = "time-like"
+
+# label -> (shift and amplitude kind, ledger pair (l+, l-)) of each explicit term
+TERMS = {
+    "saddle": ("saddle", (-1, 0)),
+    "two_pF": ("minus_q", (-1, 1)),
+    "zero_freq": ("empty", (0, 0)),
+}
+
+
+def active_terms(regime: str) -> dict:
+    """The entries of TERMS whose amplitude is predicted: the saddle term only in
+    the space-like regime (in the time-like one the saddle-vicinity physics lives
+    in the (-1, 0) harmonic)."""
+    return {label: entry for label, entry in TERMS.items()
+            if label != "saddle" or regime == SPACE_LIKE}
 
 
 @dataclass(frozen=True)
@@ -211,13 +230,9 @@ def find_saddle(
     return float(lam0), regime
 
 
-def critical_exponent_pair(nu: ShiftFn, plus_offset: float, minus_offset: float):
-    """([nu(q) + plus_offset]^2, [nu(-q) + minus_offset]^2).
-
-    First element is the power of (x - vF t), second the power of (x + vF t);
-    offsets are (0, 0) for the saddle term, (0, -1) for the -q term and
-    (+1, 0) for the empty term.
-    """
+def critical_exponent_pair(nu, plus_offset: float, minus_offset: float):
+    """([nu(q) + plus_offset]^2, [nu(-q) + minus_offset]^2) of a ShiftFn or
+    ShiftValues: the powers of (x - vF t) and (x + vF t)."""
     return (nu.at_q + plus_offset) ** 2, (nu.at_minus_q + minus_offset) ** 2
 
 
@@ -225,16 +240,49 @@ def critical_exponent_pair(nu: ShiftFn, plus_offset: float, minus_offset: float)
 # harmonic ledger
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HarmonicEntry:
-    """One harmonic: x^{-exponent} split into its (x - vF t), (x + vF t) and pure-x powers."""
+class ShiftValues(NamedTuple):
+    """D+ and D-: the values at +q and -q of the shift function of a ledger pair."""
 
+    at_q: float
+    at_minus_q: float
+
+
+def ledger_shifts(pairs, dressed: DressedSet, lambda0: float) -> list[ShiftValues]:
+    """D+- of each pair (l+, l-), by the formula of the module docstring."""
+    q = dressed.q
+    sides = [(float(dressed.Z(lam)), *(float(dressed.phi(lam, m)) for m in (-q, q, lambda0)))
+             for lam in (q, -q)]
+    return [
+        ShiftValues(*(-0.5 * z - lm * phi_mq - (lp + 1) * phi_q + (lp + lm) * phi_0
+                      for z, phi_mq, phi_q, phi_0 in sides))
+        for lp, lm in pairs
+    ]
+
+
+def ledger_exponents(nu, pair) -> tuple:
+    """(1 + l+ + D+)^2, (D- - l-)^2 and |l+ + l-|/2: the powers of (x - vF t),
+    (x + vF t) and x of the pair (l+, l-) whose shift takes the values D+- =
+    (nu.at_q, nu.at_minus_q)."""
+    lp, lm = pair
+    return (*critical_exponent_pair(nu, 1 + lp, -lm), 0.5 * abs(lp + lm))
+
+
+@dataclass(frozen=True)
+class LedgerRow:
+    """One harmonic (l+, l-) of the expansion: x^{-exponent} split into its
+    powers of (x - vF t) (right Fermi boundary +q), (x + vF t) (left boundary
+    -q) and x.  `amplitude` is None where it is not predicted; only active rows
+    enter evaluated values."""
+
+    label: str
     ell_plus: int
     ell_minus: int
     frequency: float
     exponent_plus: float
     exponent_minus: float
     extra_power: float
+    amplitude: float | None = None
+    active: bool = False
 
     @property
     def exponent(self) -> float:
@@ -247,36 +295,18 @@ def harmonic_table(
     lambda0: float,
     regime: str,
     ratio_t_over_x: float,
-) -> list[HarmonicEntry]:
-    """All harmonics with |l+-| <= max_abs_ell and eta (l+ + l-) >= 0, excluding
-    the pairs that reproduce the explicit terms' frequencies: (0,0) and (-1,1)
-    always, and (-1,0) in the space-like regime (there the saddle term is
-    explicit; in the time-like regime the (-1,0) harmonic carries the
-    saddle-vicinity physics and stays in the ledger)."""
+) -> list[LedgerRow]:
+    """All harmonics with |l+-| <= max_abs_ell and eta (l+ + l-) >= 0 except the
+    pairs of the active terms of TERMS, as inactive rows with amplitude None."""
     eta = 1 if regime == SPACE_LIKE else -1
+    explicit = {pair for _, pair in active_terms(regime).values()}
+    ells = range(-max_abs_ell, max_abs_ell + 1)
+    pairs = [(lp, lm) for lp in ells for lm in ells
+             if eta * (lp + lm) >= 0 and (lp, lm) not in explicit]
     q = dressed.q
-    uq = float(u_combination(q, ratio_t_over_x, dressed))
-    umq = float(u_combination(-q, ratio_t_over_x, dressed))
-    ul0 = float(u_combination(lambda0, ratio_t_over_x, dressed))
-    Zq, Zmq = float(dressed.Z(q)), float(dressed.Z(-q))
-    phi_q = {m: float(dressed.phi(q, m)) for m in (-q, q, lambda0)}
-    phi_mq = {m: float(dressed.phi(-q, m)) for m in (-q, q, lambda0)}
-
-    excluded = {(0, 0), (-1, 1)}
-    if regime == SPACE_LIKE:
-        excluded.add((-1, 0))
-
-    out: list[HarmonicEntry] = []
-    for lp in range(-max_abs_ell, max_abs_ell + 1):
-        for lm in range(-max_abs_ell, max_abs_ell + 1):
-            if eta * (lp + lm) < 0:
-                continue
-            if (lp, lm) in excluded:
-                continue
-            dp = -0.5 * Zq - lm * phi_q[-q] - (lp + 1) * phi_q[q] + (lp + lm) * phi_q[lambda0]
-            dm = -0.5 * Zmq - lm * phi_mq[-q] - (lp + 1) * phi_mq[q] + (lp + lm) * phi_mq[lambda0]
-            freq = lp * uq + lm * umq - (lp + lm) * ul0
-            out.append(
-                HarmonicEntry(lp, lm, freq, (1.0 + lp + dp) ** 2, (dm - lm) ** 2, 0.5 * abs(lp + lm))
-            )
-    return out
+    uq, umq, ul0 = (float(u_combination(lam, ratio_t_over_x, dressed)) for lam in (q, -q, lambda0))
+    return [
+        LedgerRow(f"harmonic({lp:+d},{lm:+d})", lp, lm, lp * uq + lm * umq - (lp + lm) * ul0,
+                  *ledger_exponents(nu, (lp, lm)))
+        for (lp, lm), nu in zip(pairs, ledger_shifts(pairs, dressed, lambda0))
+    ]

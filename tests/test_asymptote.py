@@ -18,7 +18,7 @@ from llasym import (
 from llasym import asymptote
 from llasym.asymptote import TERMS, ExpansionReport, LightConeError, RatioMismatchError
 from llasym.cli import RunConfig, cmd_exponents, cmd_harmonics, cmd_saddle
-from llasym.excitations import SPACE_LIKE, TIME_LIKE, u_combination
+from llasym.excitations import SPACE_LIKE, TIME_LIKE, active_terms, harmonic_table, u_combination
 
 RATIO = 0.2
 
@@ -67,6 +67,41 @@ def test_term_table_cross_module_consistency(report_space, dressed_11):
     )
     assert all(t.active for t in report_space.terms)
     assert report_space.regime == SPACE_LIKE
+
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("fixture", ["dressed_11", "dressed_41", "dressed_162"])
+@pytest.mark.parametrize("ratio_times_vF", [0.5, 2.0])
+def test_each_explicit_term_is_its_ledger_row(request, fixture, ratio_times_vF):
+    """Exponents, extra power and D+- of each explicit term, from the ledger
+    formula, equal those of its special shift function bit for bit."""
+    d = request.getfixturevalue(fixture)
+    report = ExpansionReport(d, ratio_times_vF / d.vF)
+    assert report.regime == (SPACE_LIKE if ratio_times_vF < 1.0 else TIME_LIKE)
+    rows = {t.label: t for t in report.terms}
+    for label, (kind, (lp, lm)) in TERMS.items():
+        nu = special_shift(kind, d, report.lambda0)
+        row = rows[label]
+        assert (row.ell_plus, row.ell_minus) == (lp, lm)
+        assert _bits(row.exponent_plus, row.exponent_minus) == _bits(
+            *critical_exponent_pair(nu, 1 + lp, -lm)), label
+        assert _bits(row.extra_power) == _bits(abs(lp + lm) / 2), label
+        assert _bits(*report.shift_values[label]) == _bits(nu.at_q, nu.at_minus_q), label
+
+
+@pytest.mark.parametrize("ratio", [0.2, 2.0])
+def test_ledger_and_active_terms_cover_each_admissible_pair_once(dressed_11, ratio):
+    report = ExpansionReport(dressed_11, ratio, max_abs_ell=3)
+    eta = 1 if report.regime == SPACE_LIKE else -1
+    explicit = [pair for _, pair in active_terms(report.regime).values()]
+    listed = [(e.ell_plus, e.ell_minus) for e in harmonic_table(
+        3, dressed_11, report.lambda0, report.regime, ratio)] + explicit
+    admissible = {(lp, lm) for lp in range(-3, 4) for lm in range(-3, 4) if eta * (lp + lm) >= 0}
+    # the space-like saddle pair (-1, 0) has eta (l+ + l-) = -1: explicit, never in the ledger
+    assert sorted(listed) == sorted(admissible | set(explicit))
 
 
 def test_time_like_saddle_inactive(report_time):
@@ -136,7 +171,7 @@ def test_stages_before_amplitudes_never_assemble_one(monkeypatch, dressed_11):
 
     monkeypatch.setattr(asymptote, "amplitude", no_amplitude)
     report = ExpansionReport(dressed_11, RATIO)
-    assert set(report.shifts) == set(report.exponents) == set(TERMS)
+    assert set(report.shift_values) == set(report.exponents) == set(TERMS)
     assert report.harmonic_entries and report.u_dd_at_lambda0 < 0.0
     with pytest.raises(AssertionError, match="amplitude assembled"):
         report.terms

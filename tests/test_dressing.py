@@ -227,3 +227,14 @@ def test_replaced_set_starts_with_empty_caches(dressed_11):
     assert fresh._phi_cache == {} and fresh._edge_amplitudes == {}
     fresh.phi(0.1, 0.2718)
     assert complex(0.2718) in fresh._phi_cache and complex(0.2718) not in dressed_11._phi_cache
+
+
+def test_phi_cache_keeps_the_boundary_solves_and_the_latest_saddle(dressed_11):
+    """A set reused across rays holds phi(., +-q) and one phi(., lambda0), not one per ray."""
+    d = replace(dressed_11)
+    d.phi(0.0, d.q), d.phi(0.0, -d.q)
+    boundary = dict(d._phi_cache)
+    for ratio in (0.1, 0.2, 0.3, 1.5, 2.0, 3.0):
+        report = assemble_expansion(d, ratio)
+        assert d._phi_cache.keys() == boundary.keys() | {complex(report.lambda0)}
+        assert all(d._phi_cache[key] is sol for key, sol in boundary.items())
