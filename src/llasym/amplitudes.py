@@ -178,8 +178,10 @@ def _antisymmetric_double_integral(nu: ShiftFn, dressed: DressedSet) -> float:
 
 def fredholm_det_contour(prefactor: np.ndarray, kernel_matrix: np.ndarray, weights: np.ndarray) -> complex:
     """det(I + V) with V(w_j, w_k) = prefactor(w_j) kernel(w_j, w_k), measure dw."""
-    n = len(weights)
-    m = np.eye(n, dtype=complex) + prefactor[:, None] * kernel_matrix * weights[None, :]
+    m = prefactor[:, None] * kernel_matrix
+    m *= weights
+    m += 0.0  # the zeros of I: 0.0 + (-0.0) is +0.0, so the bits are those of I + V
+    m.flat[::len(weights) + 1] += 1.0
     return complex(np.linalg.det(m))
 
 
@@ -259,7 +261,8 @@ def smooth_part_G(
     if np.min(np.abs(res_m)) < resonance_tol or np.min(np.abs(res_p)) < resonance_tol:
         raise ResonanceError("e^{+-2 i pi nu(w)} - 1 vanishes on the contour")
 
-    kmat = lieb_kernel(omega[:, None] - omega[None, :], params)
+    kmat = omega[:, None] - omega[None, :]
+    lieb_kernel(kmat, params, out=kmat)
     dets = []
     for eps, c2_shift, res in ((+1.0, c2_up, res_m), (-1.0, c2_dn, res_p)):  # V, then Vbar
         ic = eps * 1j * c

@@ -21,6 +21,14 @@ valid off-grid and for complex z; we conservatively restrict complex
 arguments to |Im z| <= c/4 (the kernel's poles sit at +-ic).  Derivatives
 of the extension are exact derivatives of this formula.
 
+The matrix w_k K^(order)(z - lam_k) of an extension depends on the grid
+only, so it is built once and shared: `weighted_kernel` fills the
+difference array z - lam_k with the kernel in place (one buffer of the
+result's size; K' needs one more), `DressedSet.p_eps_d` extends p' and eps'
+from one matrix, and `DressedSet.charge_phases` extends Z and every phi(., mu)
+a shift function needs from one.  Sharing never changes a bit: each
+extension applies the same matrix it would have built itself.
+
 Every Gauss-Legendre rule comes from `legendre_rule`, built once per n and
 scaled by q.  The Fermi boundary q is fixed by eps(+-q) = 0: eps(sqrt(h)) < 0
 for c > 0, the upper end of the bracket doubles until eps changes sign, and
@@ -105,7 +113,10 @@ class SecondKindSolution:
         """
         _check_strip(z, self.params.c)
         kernel = (lieb_kernel, lieb_kernel_d1, lieb_kernel_d2)[order]
-        return kernel(np.asarray(z)[..., None] - self.grid.nodes, self.params) * self.grid.weights
+        diff = np.asarray(z)[..., None] - self.grid.nodes
+        kernel(diff, self.params, out=diff)
+        diff *= self.grid.weights
+        return diff
 
     def extend(self, z, order: int = 0, kzw: np.ndarray | None = None):
         """f^(order)(z) = driving^(order)(z) + (1/2pi) sum_k w_k K^(order)(z - lam_k) f_k.
@@ -133,8 +144,11 @@ class SecondKindSolution:
 
 def nystrom_matrix(grid: QuadGrid, params: ModelParams) -> np.ndarray:
     """A = I - K W / 2pi with (K)_ij = K(lam_i - lam_j), W = diag(w_j)."""
-    diff = grid.nodes[:, None] - grid.nodes[None, :]
-    return np.eye(grid.n_nodes) - lieb_kernel(diff, params) * grid.weights / (2.0 * np.pi)
+    kw = grid.nodes[:, None] - grid.nodes[None, :]
+    lieb_kernel(kw, params, out=kw)
+    kw *= grid.weights
+    kw /= 2.0 * np.pi
+    return np.eye(grid.n_nodes) - kw
 
 
 class NystromOperator:
@@ -265,6 +279,14 @@ class DressedSet:
 
     def p_d2(self, z):
         return self.p_d1_sol.d1(z)
+
+    def charge_phases(self, z, mus, order: int = 0) -> tuple:
+        """(Z^(order)(z), [phi^(order)(z, mu) for mu in mus]) for order 0 or 1 from
+        one weighted kernel matrix, bit-identical to Z(z) and phi(z, mu) (order 0)
+        or Z_d1(z) and phi_d1(z, mu) (order 1)."""
+        kzw = self.p_d1_sol.weighted_kernel(z, order)
+        return (self.p_d1_sol.extend(z, order, kzw),
+                [self._phi_sol(mu).extend(z, order, kzw) for mu in mus])
 
     def p_eps_d(self, z, order: int = 1) -> tuple:
         """(p^(order)(z), eps^(order)(z)) for order 1 or 2 from one weighted kernel

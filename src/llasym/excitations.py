@@ -80,7 +80,13 @@ class Excitation:
 
 @dataclass
 class ShiftFn:
-    """nu(lam) = -Z/2 - sum phi(lam, z+) + sum phi(lam, z-), with derivatives."""
+    """nu(lam) = -Z/2 - sum phi(lam, z+) + sum phi(lam, z-), with derivatives.
+
+    Each evaluation builds one weighted kernel matrix at lam and extends Z and
+    every phi(., z) from it (`DressedSet.charge_phases`).  nu on the dressed
+    set's own grid nodes is computed once and returned, read-only, whenever
+    the shift is called with `dressed.grid.nodes` itself.
+    """
 
     excitation: Excitation
     dressed: DressedSet
@@ -91,19 +97,29 @@ class ShiftFn:
             if not (-q - 1e-12 <= z <= q + 1e-12):
                 raise ValueError(f"hole rapidity {z} outside [-q, q] = [{-q}, {q}]")
 
-    def _combine(self, lam, charge, phase):
-        out = -0.5 * charge(lam)
-        for z in self.excitation.particles:
-            out = out - phase(lam, z)
-        for z in self.excitation.holes:
-            out = out + phase(lam, z)
+    def _combine(self, lam, order: int):
+        particles, holes = self.excitation.particles, self.excitation.holes
+        charge, phases = self.dressed.charge_phases(lam, (*particles, *holes), order)
+        out = -0.5 * charge
+        for phase in phases[:len(particles)]:
+            out = out - phase
+        for phase in phases[len(particles):]:
+            out = out + phase
         return out
 
+    @cached_property
+    def _on_nodes(self) -> np.ndarray:
+        vals = self._combine(self.dressed.grid.nodes, 0)
+        vals.flags.writeable = False
+        return vals
+
     def __call__(self, lam):
-        return self._combine(lam, self.dressed.Z, self.dressed.phi)
+        if lam is self.dressed.grid.nodes:
+            return self._on_nodes
+        return self._combine(lam, 0)
 
     def d1(self, lam):
-        return self._combine(lam, self.dressed.Z_d1, self.dressed.phi_d1)
+        return self._combine(lam, 1)
 
     @cached_property
     def at_q(self) -> float:

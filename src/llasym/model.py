@@ -61,35 +61,52 @@ def bare_phase(lam, params: ModelParams):
     return out
 
 
-def lieb_kernel(lam, params: ModelParams):
-    """K(lam) = 2c/(lam^2 + c^2) = theta'(lam); even; poles at lam = +-ic."""
-    c = params.c
+def _inexact(lam) -> np.ndarray:
+    """lam as an array of floating type (integers become float64)."""
     lam = np.asarray(lam)
+    return lam if np.issubdtype(lam.dtype, np.inexact) else lam.astype(float)
+
+
+def lieb_kernel(lam, params: ModelParams, out=None):
+    """K(lam) = 2c/(lam^2 + c^2) = theta'(lam); even; poles at lam = +-ic.
+
+    The steps are those of the formula, so are the bits, and they fill one
+    array: `out` when given (lam itself may be passed, to be overwritten),
+    else a new one.  lam is written only when it is `out`.
+    """
+    c = params.c
+    lam = _inexact(lam)
     if not np.isrealobj(lam):
         _check_strip(lam, c)
-    out = 2.0 * c / (lam * lam + c * c)
+    den = np.multiply(lam, lam, out=out)  # without `out`, a numpy scalar for 0-d lam
+    den += c * c
+    out = np.divide(2.0 * c, den, out=den if isinstance(den, np.ndarray) else None)
     if out.ndim == 0:
         return out[()]
     return out
 
 
-def lieb_kernel_d1(lam, params: ModelParams):
-    """K'(lam) = -4c*lam/(lam^2 + c^2)^2."""
+def lieb_kernel_d1(lam, params: ModelParams, out=None):
+    """K'(lam) = -4c*lam/(lam^2 + c^2)^2; `out` as for `lieb_kernel`, plus one
+    new array of lam's size for the denominator."""
     c = params.c
-    lam = np.asarray(lam)
-    den = lam * lam + c * c
-    out = -4.0 * c * lam / (den * den)
+    lam = _inexact(lam)
+    den = lam * lam
+    den += c * c
+    den *= den
+    out = np.multiply(-4.0 * c, lam, out=out)
+    out /= den
     if out.ndim == 0:
         return out[()]
     return out
 
 
-def lieb_kernel_d2(lam, params: ModelParams):
-    """K''(lam) = 4c*(3 lam^2 - c^2)/(lam^2 + c^2)^3."""
+def lieb_kernel_d2(lam, params: ModelParams, out=None):
+    """K''(lam) = 4c*(3 lam^2 - c^2)/(lam^2 + c^2)^3; only the quotient goes to `out`."""
     c = params.c
-    lam = np.asarray(lam)
+    lam = _inexact(lam)
     den = lam * lam + c * c
-    out = 4.0 * c * (3.0 * lam * lam - c * c) / (den * den * den)
+    out = np.divide(4.0 * c * (3.0 * lam * lam - c * c), den * den * den, out=out)
     if out.ndim == 0:
         return out[()]
     return out

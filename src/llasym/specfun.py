@@ -77,9 +77,11 @@ def log_kappa(nu, lam, grid: QuadGrid) -> complex:
     diff = lam - grid.nodes
     near = np.abs(diff) < 1e-8
     quot = np.empty(grid.n_nodes, dtype=complex)
-    quot[~near] = (nu_lam - nu(grid.nodes[~near])) / diff[~near]
     if np.any(near):
+        quot[~near] = (nu_lam - nu(grid.nodes[~near])) / diff[~near]
         quot[near] = nu.d1(lam)
+    else:  # nu(grid.nodes) itself: a shift function returns its memoised node values
+        quot[:] = (nu_lam - nu(grid.nodes)) / diff
     return complex(-np.dot(grid.weights, quot))
 
 
@@ -95,7 +97,9 @@ def cauchy_segment(values_on_grid: np.ndarray, grid: QuadGrid, z) -> np.ndarray:
     (`cauchy_transform` checks this for one point).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    return ((grid.weights * values_on_grid)[None, :] / (grid.nodes[None, :] - z[:, None])).sum(axis=1)
+    quot = grid.nodes[None, :] - z[:, None]
+    np.divide((grid.weights * values_on_grid)[None, :], quot, out=quot)
+    return quot.sum(axis=1)
 
 
 def cauchy_transform(nu, lam, grid: QuadGrid):
@@ -117,6 +121,8 @@ def cauchy_transform(nu, lam, grid: QuadGrid):
 def c0_double_integral(nu, grid: QuadGrid, c: float) -> complex:
     """C0[nu] = -int int nu(lam) nu(mu) (lam - mu - ic)^{-2} dlam dmu (real for real nu)."""
     vals = np.asarray(nu(grid.nodes), dtype=complex)
-    diff = grid.nodes[:, None] - grid.nodes[None, :] - 1j * c
+    inv_sq = grid.nodes[:, None] - grid.nodes[None, :] - 1j * c
+    np.square(inv_sq, out=inv_sq)
+    np.divide(1.0, inv_sq, out=inv_sq)
     wv = grid.weights * vals
-    return complex(-(wv @ (1.0 / diff**2) @ wv))
+    return complex(-(wv @ inv_sq @ wv))

@@ -6,6 +6,7 @@ sharing no quadrature or solver code with the package's Gauss-Legendre
 Nystrom route.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -238,3 +239,20 @@ def test_phi_cache_keeps_the_boundary_solves_and_the_latest_saddle(dressed_11):
         report = assemble_expansion(d, ratio)
         assert d._phi_cache.keys() == boundary.keys() | {complex(report.lambda0)}
         assert all(d._phi_cache[key] is sol for key, sol in boundary.items())
+
+
+@pytest.mark.parametrize("order, bound", [(0, 1.1), (1, 2.1)])
+def test_weighted_kernel_fills_one_buffer(dressed_11, order, bound):
+    # the 4001-point saddle scan: the difference array becomes the result, and
+    # K' needs one more array of that size for its denominator
+    z = np.linspace(-6.0, 6.0, 4001)
+    sol = dressed_11.p_d1_sol
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        kzw = sol.weighted_kernel(z, order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kzw.shape == (4001, dressed_11.grid.n_nodes)
+    assert peak <= bound * kzw.nbytes

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from llasym import ModelParams, dress_all, special_shift
+from llasym.amplitudes import default_contour
 from llasym.excitations import (
     SPACE_LIKE,
     TIME_LIKE,
@@ -212,3 +213,41 @@ def test_u_derivatives_share_one_kernel_matrix_bit_for_bit(request, fixture, rat
             d.p_d1(lam) - ratio * d.eps_d1(lam)).tobytes()
         assert np.asarray(u_d2(lam, ratio, d)).tobytes() == np.asarray(
             d.p_d2(lam) - ratio * d.eps_d2(lam)).tobytes()
+
+
+def _shifts(d):
+    """The three special shifts at t/x = 0.2 and one custom particle/hole shift."""
+    lam0, _ = find_saddle(0.2, d)
+    return [special_shift("empty", d), special_shift("minus_q", d),
+            special_shift("saddle", d, lam0),
+            shift_function(Excitation(particles=(1.7 * d.q,), holes=(0.4 * d.q,)), d)]
+
+
+@pytest.mark.parametrize("fixture", ["dressed_11", "dressed_41"])
+def test_shift_function_shares_one_kernel_matrix_bit_for_bit(request, fixture):
+    """nu and nu' from one weighted kernel equal -Z/2 - sum phi(., z+) + sum phi(., z-)
+    built from the dressed set's methods, each with its own kernel."""
+    d = request.getfixturevalue(fixture)
+    contour = default_contour(d).nodes_weights()[0]
+    points = (d.grid.nodes, np.array(d.grid.nodes), np.linspace(-3.0 * d.q, 3.0 * d.q, 37),
+              0.37 * d.q, d.q, contour)
+    for nu in _shifts(d):
+        ex = nu.excitation
+        for lam in points:
+            for got, charge, phase in ((nu(lam), d.Z, d.phi), (nu.d1(lam), d.Z_d1, d.phi_d1)):
+                ref = -0.5 * charge(lam)
+                for z in ex.particles:
+                    ref = ref - phase(lam, z)
+                for z in ex.holes:
+                    ref = ref + phase(lam, z)
+                assert np.asarray(got).dtype == np.asarray(ref).dtype
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+def test_shift_node_values_are_memoised_read_only(dressed_11):
+    nu = special_shift("minus_q", dressed_11)
+    vals = nu(dressed_11.grid.nodes)
+    assert nu(dressed_11.grid.nodes) is vals  # computed once per shift
+    with pytest.raises(ValueError):
+        vals[0] = 0.0
+    assert nu(np.array(dressed_11.grid.nodes)) is not vals  # only the grid's own array

@@ -99,3 +99,39 @@ def test_bare_dispersion():
     assert np.allclose(bare_u0_d1(lam, r), fd, atol=1e-6)
     # bare saddle: u0' vanishes at lam = x/(2t)
     assert bare_u0_d1(1.0 / (2.0 * r), r) == pytest.approx(0.0, abs=1e-15)
+
+
+_THETA = 2.0 * np.pi * np.arange(64) / 64
+_ELLIPSE = 1.5 * np.cos(_THETA) + 0.2j * np.sin(_THETA)  # a contour around [-1, 1]
+
+
+def _formulas(lam, c):
+    """K, K' and K'' written as plain numpy expressions, the reference bits."""
+    den = lam * lam + c * c
+    return (2.0 * c / den, -4.0 * c * lam / (den * den),
+            4.0 * c * (3.0 * lam * lam - c * c) / (den * den * den))
+
+
+@pytest.mark.parametrize("c", [0.7, 1, 16.0])
+@pytest.mark.parametrize("lam", [
+    np.array([-3.5, -0.0, 0.0, 1e-300, 0.25, 7.0, 3e50]),
+    np.linspace(-5.0, 5.0, 24).reshape(4, 6),
+    np.array([0.3 + 0.1j, -2.0 - 0.05j, 0.0 - 0.0j, -0.0 + 0.2j, 4.0 + 0.0j]),
+    np.subtract.outer(_ELLIPSE, _ELLIPSE),
+    np.arange(-3, 4),
+    np.asarray(-0.0), np.asarray(0.4 - 0.1j), 0.0, -1.25, 2 - 0.3j,
+], ids=["real", "real2d", "complex", "contour", "int", "0d-neg-zero", "0d-complex", "float",
+        "float-neg", "complex-scalar"])
+def test_kernels_equal_their_formulas_bit_for_bit(lam, c):
+    p = ModelParams(c=c, h=1.0)
+    before = np.array(lam, copy=True)
+    for kernel, ref in zip((lieb_kernel, lieb_kernel_d1, lieb_kernel_d2), _formulas(np.asarray(lam), c)):
+        got = kernel(lam, p)
+        assert type(got) is type(ref)  # 0-d inputs give numpy scalars
+        assert np.asarray(got).dtype == np.asarray(ref).dtype
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()  # -0.0 counts
+        assert np.asarray(lam).tobytes() == before.tobytes()  # the input is left alone
+        if np.ndim(lam) and np.asarray(lam).dtype.kind in "fc":  # overwritten on request
+            buf = np.array(lam, copy=True)
+            assert kernel(buf, p, out=buf) is buf
+            assert buf.tobytes() == np.asarray(ref).tobytes()
