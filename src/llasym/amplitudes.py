@@ -93,24 +93,25 @@ def _resonance_factor(nu_val: float, sign: int, tol: float = 1e-8) -> complex:
     return 1.0 / den
 
 
-def functional_Aplus(nu: ShiftFn, dressed: DressedSet) -> complex:
+def functional_Aplus(nu: ShiftFn, dressed: DressedSet, lk_q: complex | None = None) -> complex:
     """A+[nu, p] = -2q kappa^-2(q) [2q p'(q)]^{-2 nu(q) - 1} Gamma(1+nu(q))/Gamma(-nu(q))
-    / (e^{-2 i pi nu(q)} - 1)."""
+    / (e^{-2 i pi nu(q)} - 1).  lk_q is ln kappa(q) when the caller has it."""
     q = dressed.q
     nq = nu.at_q
-    lk = log_kappa(nu, q, dressed.grid)
+    lk = log_kappa(nu, q, dressed.grid) if lk_q is None else lk_q
     pref = -2.0 * q * np.exp(-2.0 * lk)
     pow_ = (2.0 * q * float(dressed.p_d1(q))) ** (2.0 * nq + 1.0)
     gammas = _gamma(1.0 + nq) / _gamma(-nq)
     return complex(pref / pow_ * gammas * _resonance_factor(nq, -1))
 
 
-def functional_Aminus(nu: ShiftFn, dressed: DressedSet) -> complex:
+def functional_Aminus(nu: ShiftFn, dressed: DressedSet, lk_mq: complex | None = None) -> complex:
     """A-[nu, p] = -2q kappa^-2(-q) Gamma(1-nu(-q))/Gamma(nu(-q))
-    [2q p'(-q)]^{2 nu(-q) - 1} / (e^{-2 i pi nu(-q)} - 1)."""
+    [2q p'(-q)]^{2 nu(-q) - 1} / (e^{-2 i pi nu(-q)} - 1).  lk_mq is ln kappa(-q)
+    when the caller has it."""
     q = dressed.q
     nmq = nu.at_minus_q
-    lk = log_kappa(nu, -q, dressed.grid)
+    lk = log_kappa(nu, -q, dressed.grid) if lk_mq is None else lk_mq
     pref = -2.0 * q * np.exp(-2.0 * lk)
     gammas = _gamma(1.0 - nmq) / _gamma(nmq)
     pow_ = (2.0 * q * float(dressed.p_d1(-q))) ** (2.0 * nmq - 1.0)
@@ -135,8 +136,10 @@ def functional_A0(nu: ShiftFn, dressed: DressedSet, lambda0: float, regime: str)
     return complex(np.exp(-0.25j * np.pi - 2.0 * lk + 2.0 * n0 * log_ratio))
 
 
-def functional_B(nu: ShiftFn, dressed: DressedSet) -> complex:
-    """B[nu, p], assembled in log space.
+def functional_B(nu: ShiftFn, dressed: DressedSet,
+                 lk_q: complex | None = None, lk_mq: complex | None = None) -> complex:
+    """B[nu, p], assembled in log space; lk_q and lk_mq are ln kappa(q) and
+    ln kappa(-q) when the caller has them.
 
     ln B = nu(-q) ln kappa(-q) - nu(q) ln kappa(q)
          + 2 ln G(1 + nu(q)) + 2 ln G(1 - nu(-q))
@@ -147,7 +150,11 @@ def functional_B(nu: ShiftFn, dressed: DressedSet) -> complex:
     """
     q = dressed.q
     nq, nmq = nu.at_q, nu.at_minus_q
-    log_b = nmq * log_kappa(nu, -q, dressed.grid) - nq * log_kappa(nu, q, dressed.grid)
+    if lk_q is None:
+        lk_q = log_kappa(nu, q, dressed.grid)
+    if lk_mq is None:
+        lk_mq = log_kappa(nu, -q, dressed.grid)
+    log_b = nmq * lk_mq - nq * lk_q
     log_b += 2.0 * barnes_g_log(1.0 + nq) + 2.0 * barnes_g_log(1.0 - nmq)
     log_b += 0.5j * np.pi * (nq**2 - nmq**2)
     log_b -= nq**2 * np.log(2.0 * q * float(dressed.p_d1(q)))
@@ -326,11 +333,14 @@ def amplitude(
     nu = special_shift(kind, dressed, lambda0)  # raises on an unknown kind
     q = dressed.q
     pre = 1.0
+    lk_q = lk_mq = None  # ln kappa(+-q), shared by an edge kind's A and B
     if kind == "empty":
-        a_fac = functional_Aplus(nu, dressed)
+        lk_q = log_kappa(nu, q, dressed.grid)
+        a_fac = functional_Aplus(nu, dressed, lk_q)
         g_fac = smooth_part_G(nu, dressed, (), (), contour)
     elif kind == "minus_q":
-        a_fac = functional_Aminus(nu, dressed)
+        lk_mq = log_kappa(nu, -q, dressed.grid)
+        a_fac = functional_Aminus(nu, dressed, lk_mq)
         g_fac = smooth_part_G(nu, dressed, (-q,), (q,), contour)
     else:
         a_fac = functional_A0(nu, dressed, lambda0, regime)
@@ -339,7 +349,7 @@ def amplitude(
 
     e_plus, e_minus, _ = ledger_exponents(nu, dict(TERMS.values())[kind])  # the kind's pair
     phase = 0.5j * np.pi * (e_minus - e_plus)
-    b_fac = functional_B(nu, dressed)
+    b_fac = functional_B(nu, dressed, lk_q, lk_mq)
     raw = complex(pre * a_fac * b_fac * g_fac * np.exp(phase))
     if not np.isfinite(raw):
         raise NonFiniteAmplitudeError(f"{kind} amplitude is not finite: {raw}")

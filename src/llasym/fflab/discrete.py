@@ -52,14 +52,6 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """The resummation matrix is numerically singular."""
 
 
-def _ell_values(N: int, particles, holes) -> list[int]:
-    """Integers l_1..l_{N+1}: position j holds j, except position h_a holds p_a."""
-    ell = list(range(1, N + 2))
-    for p, h in zip(particles, holes):
-        ell[h - 1] = p
-    return ell
-
-
 def _validate_config(inst: FFLabInstance, particles, holes):
     particles = [int(p) for p in particles]
     holes = [int(h) for h in holes]
@@ -78,6 +70,42 @@ def _validate_config(inst: FFLabInstance, particles, holes):
     return particles, holes
 
 
+def _ell_block(N: int, particle_sets, hole_sets) -> np.ndarray:
+    """Labels l_1..l_{N+1} of every (holes, particles) pair, one row each.
+
+    Row j holds [1..N+1] with position h_a replaced by p_a; rows run over
+    hole_sets in the outer and particle_sets in the inner order.
+    """
+    holes = np.array(hole_sets, dtype=int).reshape(len(hole_sets), -1)
+    particles = np.array(particle_sets, dtype=int).reshape(len(particle_sets), -1)
+    ell = np.tile(np.arange(1, N + 2), (len(holes) * len(particles), 1))
+    rows = np.arange(len(ell)).reshape(len(holes), len(particles), 1)
+    ell[rows, holes[:, None, :] - 1] = particles[None, :, :]
+    return ell
+
+
+def _lam_factors(inst: FFLabInstance) -> tuple[float, float]:
+    """prod 4 sin^2(pi nu(lam_k)) and prod 2 pi L xi_nu'(lam_k): the lam-only factors of dhat."""
+    s = np.sin(np.pi * inst.nu(inst.lam))
+    num = float(np.prod(4.0 * s * s))
+    den_lam = float(np.prod(2.0 * np.pi * inst.L * inst.xi_nu_d1(inst.lam)))
+    return num, den_lam
+
+
+def _dhat_rows(inst: FFLabInstance, mu_l: np.ndarray, num: float, den_lam: float) -> np.ndarray:
+    """dhat of each configuration whose occupation points mu_{l_1..l_{N+1}} are a row of mu_l."""
+    lam = inst.lam
+    last = mu_l[:, -1:]
+    diff = mu_l[:, :-1, None] - lam
+    if np.min(np.abs(diff)) < 1e-12 or np.min(np.abs(mu_l[:, :-1] - last)) < 1e-12:
+        raise CoincidentRapidityError("coincident rapidities in configuration")
+
+    den = np.prod(2.0 * np.pi * inst.L * inst.xi.d1(mu_l), axis=1) * den_lam
+    boundary = np.prod(((mu_l[:, :-1] - last) / (lam - last)) ** 2, axis=1)
+    det = np.linalg.det(1.0 / diff)
+    return num / den * boundary * det * det
+
+
 def dhat_N(inst: FFLabInstance, particles, holes) -> float:
     """Rational weight of one particle-hole configuration.
 
@@ -89,23 +117,8 @@ def dhat_N(inst: FFLabInstance, particles, holes) -> float:
     determinant compensates.
     """
     particles, holes = _validate_config(inst, particles, holes)
-    ell = _ell_values(inst.N, particles, holes)
-
-    mu_l = inst.mu_at(ell)
-    lam = inst.lam
-    L = inst.L
-
-    diff = mu_l[:-1, None] - lam[None, :]
-    if np.min(np.abs(diff)) < 1e-12 or np.min(np.abs(mu_l[:-1] - mu_l[-1])) < 1e-12:
-        raise CoincidentRapidityError("coincident rapidities in configuration")
-
-    s = np.sin(np.pi * inst.nu(lam))
-    num = float(np.prod(4.0 * s * s))
-    den = float(np.prod(2.0 * np.pi * L * inst.xi.d1(mu_l)))
-    den *= float(np.prod(2.0 * np.pi * L * inst.xi_nu_d1(lam)))
-    boundary = float(np.prod(((mu_l[:-1] - mu_l[-1]) / (lam - mu_l[-1])) ** 2))
-    det = float(np.linalg.det(1.0 / diff))
-    return num / den * boundary * det * det
+    mu_l = inst.mu_at(_ell_block(inst.N, [particles], [holes]))
+    return float(_dhat_rows(inst, mu_l, *_lam_factors(inst))[0])
 
 
 def nu_zero_limit(inst: FFLabInstance) -> complex:
@@ -129,7 +142,18 @@ def _config_count(inst: FFLabInstance) -> int:
 
 
 def xn_bruteforce(inst: FFLabInstance) -> complex:
-    """X_N by exhaustive enumeration of particle-hole configurations."""
+    """X_N by exhaustive enumeration of particle-hole configurations.
+
+    The configurations come in one block per particle-hole count
+    n = 0, 1, ...: every n-subset of holes in [1..N+1] (outer) with every
+    n-subset of particles from the rest of the window (inner), in
+    `itertools.combinations` order, one label row each.  A block's dhat
+    values come from one stacked Cauchy determinant.  The weighted terms
+    are then added one at a time in enumeration order with scalar complex
+    products, so X_N is bit for bit the sum taken one configuration at a
+    time (numpy's array complex multiply can differ from its scalar one in
+    the last bit).
+    """
     if inst.nu.is_zero:
         return nu_zero_limit(inst)
     if 2 * inst.w + 1 > _MAX_WINDOW:
@@ -143,15 +167,17 @@ def xn_bruteforce(inst: FFLabInstance) -> complex:
     exterior = [a for a in inst.window.tolist() if a not in interior]
     log_e_sq_lam = -inst.phase.log_inv_sq(inst.lam)
     lam_weight = np.exp(np.sum(log_e_sq_lam))
+    lam_factors = _lam_factors(inst)
 
     total = 0.0 + 0.0j
     for n in range(0, min(len(exterior), inst.N + 1) + 1):
-        for holes in itertools.combinations(interior, n):
-            for particles in itertools.combinations(exterior, n):
-                ell = _ell_values(inst.N, particles, holes)
-                mu_l = inst.mu_at(ell)
-                weight = lam_weight * np.exp(np.sum(inst.phase.log_inv_sq(mu_l)))
-                total += weight * dhat_N(inst, particles, holes)
+        ell = _ell_block(inst.N, list(itertools.combinations(exterior, n)),
+                         list(itertools.combinations(interior, n)))
+        mu_l = inst.mu_at(ell)
+        dh = _dhat_rows(inst, mu_l, *lam_factors).tolist()
+        lsum = np.sum(inst.phase.log_inv_sq(mu_l), axis=1)
+        for log_weight, dhat in zip(lsum, dh):
+            total += lam_weight * np.exp(log_weight) * dhat
     return complex(total)
 
 

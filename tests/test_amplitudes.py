@@ -134,6 +134,25 @@ def test_edge_functionals_finite_and_conjugate_structure(dressed_11):
     assert ap != 0 and am != 0
 
 
+@pytest.mark.parametrize("kind, edge", [("empty", 1.0), ("minus_q", -1.0)])
+def test_edge_amplitude_takes_each_log_kappa_once(monkeypatch, dressed_11, kind, edge):
+    d = replace(dressed_11)
+    q = d.q
+    nu = special_shift(kind, d)
+    lk = amplitudes.log_kappa(nu, edge * q, d.grid)
+    # a functional handed ln kappa gives the bits it computes on its own
+    a_fac = functional_Aplus if kind == "empty" else functional_Aminus
+    assert repr(a_fac(nu, d, lk)) == repr(a_fac(nu, d))
+    shared = {"lk_q": lk} if kind == "empty" else {"lk_mq": lk}
+    assert repr(functional_B(nu, d, **shared)) == repr(functional_B(nu, d))
+    points = []
+    log_kappa = amplitudes.log_kappa
+    monkeypatch.setattr(amplitudes, "log_kappa",
+                        lambda nu, lam, grid: points.append(lam) or log_kappa(nu, lam, grid))
+    amplitude(kind, d)
+    assert sorted(points) == [-q, q]
+
+
 def _count_smooth_parts(monkeypatch):
     calls = []
     smooth = amplitudes.smooth_part_G

@@ -1,5 +1,6 @@
 """Finite-size lab: enumeration vs determinant, singular sums, Fredholm minor."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from llasym.fflab import (
     xn_bruteforce,
     xn_determinant,
 )
+from llasym.fflab import discrete
 from llasym.fflab.discrete import _config_count
 
 XI_STD = AffineCounting(1.0 / (2.0 * np.pi), 0.5)
@@ -148,6 +150,77 @@ def test_bruteforce_matches_determinant_on_matrix():
         xd = xn_determinant(inst)
         worst = max(worst, abs(xb - xd) / abs(xd))
     assert worst < 1e-10
+
+
+def _dhat_reference(inst, ell):
+    """dhat of one configuration with labels ell, computed on its own."""
+    mu_l = inst.mu_at(ell)
+    lam, L = inst.lam, inst.L
+    s = np.sin(np.pi * inst.nu(lam))
+    num = float(np.prod(4.0 * s * s))
+    den = float(np.prod(2.0 * np.pi * L * inst.xi.d1(mu_l)))
+    den *= float(np.prod(2.0 * np.pi * L * inst.xi_nu_d1(lam)))
+    boundary = float(np.prod(((mu_l[:-1] - mu_l[-1]) / (lam - mu_l[-1])) ** 2))
+    det = float(np.linalg.det(1.0 / (mu_l[:-1, None] - lam[None, :])))
+    return num / den * boundary * det * det
+
+
+def _reference_configurations(inst):
+    """(particles, holes, ell) of every configuration, in enumeration order."""
+    interior = list(range(1, inst.N + 2))
+    exterior = [a for a in inst.window.tolist() if a not in interior]
+    for n in range(min(len(exterior), inst.N + 1) + 1):
+        for holes in itertools.combinations(interior, n):
+            for particles in itertools.combinations(exterior, n):
+                ell = list(interior)
+                for p, h in zip(particles, holes):
+                    ell[h - 1] = p
+                yield particles, holes, ell
+
+
+def _xn_reference(inst):
+    """X_N one configuration at a time, and the number of configurations."""
+    lam_weight = np.exp(np.sum(-inst.phase.log_inv_sq(inst.lam)))
+    total, count = 0.0 + 0.0j, 0
+    for _, _, ell in _reference_configurations(inst):
+        weight = lam_weight * np.exp(np.sum(inst.phase.log_inv_sq(inst.mu_at(ell))))
+        total += weight * _dhat_reference(inst, ell)
+        count += 1
+    return complex(total), count
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_bruteforce_is_the_configuration_loop_bit_for_bit(monkeypatch):
+    rows = []
+    dhat_rows = discrete._dhat_rows
+    monkeypatch.setattr(discrete, "_dhat_rows",
+                        lambda inst, mu_l, *lam_factors:
+                        rows.append(len(mu_l)) or dhat_rows(inst, mu_l, *lam_factors))
+    total = 0
+    for inst in standard_matrix():
+        rows.clear()
+        reference, count = _xn_reference(inst)
+        assert _bits(xn_bruteforce(inst)) == _bits(reference)
+        assert sum(rows) == count == _config_count(inst)
+        total += count
+    assert total == 4488
+
+
+@pytest.mark.parametrize("inst", [_inst(), _inst(N=3, w=6, nu=NuFunction("gauss", 0.1))],
+                         ids=["N2-const", "N3-gauss"])
+def test_dhat_is_the_reference_formula_bit_for_bit(inst):
+    for particles, holes, ell in _reference_configurations(inst):
+        assert dhat_N(inst, particles, holes).hex() == _dhat_reference(inst, ell).hex()
+
+
+def test_bruteforce_raises_on_coincident_rapidities():
+    inst = _inst(nu=NuFunction("const", 1.0))  # lam_k = mu_{k-1}
+    assert inst.lam[1] == pytest.approx(inst.mu_at(1), abs=1e-12)
+    with pytest.raises(CoincidentRapidityError):
+        xn_bruteforce(inst)
 
 
 def test_xn_frozen_anchors():
