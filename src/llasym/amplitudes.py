@@ -36,6 +36,10 @@ from .model import lieb_kernel
 from .specfun import barnes_g_log, c0_double_integral, cauchy_segment, log_kappa
 
 
+_EDGE_RESONANCE_TOL = 1e-8  # pole guard of 1/(e^{-2 i pi nu(+-q)} - 1) in A+ and A-
+_NODE_RESONANCE_TOL = 1e-6  # pole guard of 1/(e^{+-2 i pi nu(w)} - 1) on the contour nodes
+
+
 class ResonanceError(ValueError):
     """A factor 1/(e^{+-2 i pi nu} - 1) is evaluated too close to its pole."""
 
@@ -74,45 +78,41 @@ class ContourSpec:
 
 def default_contour(dressed: DressedSet, n_nodes: int = 256) -> ContourSpec:
     # a tall ellipse keeps the contour away from near-resonances of
-    # 1/(e^{+-2 i pi nu(w)} - 1) that sit close to the real axis
+    # 1/(e^{+-2 i pi nu(w)} - 1) that sit close to the real axis.  It always
+    # passes `validate`: 1.5q > q and 0 < min(0.22c, 0.75q) < c/4
     q, c = dressed.q, dressed.params.c
-    spec = ContourSpec(1.5 * q, min(0.22 * c, 0.75 * q), n_nodes)
-    spec.validate(q, c)
-    return spec
+    return ContourSpec(1.5 * q, min(0.22 * c, 0.75 * q), n_nodes)
 
 
 # ----------------------------------------------------------------------
 # boundary functionals
 # ----------------------------------------------------------------------
 
-def _resonance_factor(nu_val: float, sign: int, tol: float = 1e-8) -> complex:
+def _resonance_factor(nu_val: float, sign: int) -> complex:
     """1 / (e^{sign * 2 i pi nu} - 1) with a pole guard."""
     den = np.exp(sign * 2j * np.pi * nu_val) - 1.0
-    if abs(den) < tol:
+    if abs(den) < _EDGE_RESONANCE_TOL:
         raise ResonanceError(f"e^({sign:+d} 2 i pi nu) - 1 = {den} at nu = {nu_val}")
     return 1.0 / den
 
 
-def functional_Aplus(nu: ShiftFn, dressed: DressedSet, lk_q: complex | None = None) -> complex:
+def functional_Aplus(nu: ShiftFn, dressed: DressedSet, lk_q: complex) -> complex:
     """A+[nu, p] = -2q kappa^-2(q) [2q p'(q)]^{-2 nu(q) - 1} Gamma(1+nu(q))/Gamma(-nu(q))
-    / (e^{-2 i pi nu(q)} - 1).  lk_q is ln kappa(q) when the caller has it."""
+    / (e^{-2 i pi nu(q)} - 1), with lk_q = ln kappa(q)."""
     q = dressed.q
     nq = nu.at_q
-    lk = log_kappa(nu, q, dressed.grid) if lk_q is None else lk_q
-    pref = -2.0 * q * np.exp(-2.0 * lk)
+    pref = -2.0 * q * np.exp(-2.0 * lk_q)
     pow_ = (2.0 * q * float(dressed.p_d1(q))) ** (2.0 * nq + 1.0)
     gammas = _gamma(1.0 + nq) / _gamma(-nq)
     return complex(pref / pow_ * gammas * _resonance_factor(nq, -1))
 
 
-def functional_Aminus(nu: ShiftFn, dressed: DressedSet, lk_mq: complex | None = None) -> complex:
+def functional_Aminus(nu: ShiftFn, dressed: DressedSet, lk_mq: complex) -> complex:
     """A-[nu, p] = -2q kappa^-2(-q) Gamma(1-nu(-q))/Gamma(nu(-q))
-    [2q p'(-q)]^{2 nu(-q) - 1} / (e^{-2 i pi nu(-q)} - 1).  lk_mq is ln kappa(-q)
-    when the caller has it."""
+    [2q p'(-q)]^{2 nu(-q) - 1} / (e^{-2 i pi nu(-q)} - 1), with lk_mq = ln kappa(-q)."""
     q = dressed.q
     nmq = nu.at_minus_q
-    lk = log_kappa(nu, -q, dressed.grid) if lk_mq is None else lk_mq
-    pref = -2.0 * q * np.exp(-2.0 * lk)
+    pref = -2.0 * q * np.exp(-2.0 * lk_mq)
     gammas = _gamma(1.0 - nmq) / _gamma(nmq)
     pow_ = (2.0 * q * float(dressed.p_d1(-q))) ** (2.0 * nmq - 1.0)
     return complex(pref * gammas * pow_ * _resonance_factor(nmq, -1))
@@ -136,10 +136,8 @@ def functional_A0(nu: ShiftFn, dressed: DressedSet, lambda0: float, regime: str)
     return complex(np.exp(-0.25j * np.pi - 2.0 * lk + 2.0 * n0 * log_ratio))
 
 
-def functional_B(nu: ShiftFn, dressed: DressedSet,
-                 lk_q: complex | None = None, lk_mq: complex | None = None) -> complex:
-    """B[nu, p], assembled in log space; lk_q and lk_mq are ln kappa(q) and
-    ln kappa(-q) when the caller has them.
+def functional_B(nu: ShiftFn, dressed: DressedSet, lk_q: complex, lk_mq: complex) -> complex:
+    """B[nu, p], assembled in log space, with lk_q = ln kappa(q) and lk_mq = ln kappa(-q).
 
     ln B = nu(-q) ln kappa(-q) - nu(q) ln kappa(q)
          + 2 ln G(1 + nu(q)) + 2 ln G(1 - nu(-q))
@@ -150,10 +148,6 @@ def functional_B(nu: ShiftFn, dressed: DressedSet,
     """
     q = dressed.q
     nq, nmq = nu.at_q, nu.at_minus_q
-    if lk_q is None:
-        lk_q = log_kappa(nu, q, dressed.grid)
-    if lk_mq is None:
-        lk_mq = log_kappa(nu, -q, dressed.grid)
     log_b = nmq * lk_mq - nq * lk_q
     log_b += 2.0 * barnes_g_log(1.0 + nq) + 2.0 * barnes_g_log(1.0 - nmq)
     log_b += 0.5j * np.pi * (nq**2 - nmq**2)
@@ -197,8 +191,7 @@ def smooth_part_G(
     dressed: DressedSet,
     particles: tuple,
     holes: tuple,
-    contour: ContourSpec | None = None,
-    resonance_tol: float = 1e-6,
+    contour: ContourSpec,
 ) -> complex:
     """Smooth part G_n for n = len(particles) = len(holes) in {0, 1}.
 
@@ -226,8 +219,6 @@ def smooth_part_G(
         raise ValueError(f"smooth part implemented for n in {{0, 1}}, got n = {n}")
     params = dressed.params
     q, c = dressed.q, params.c
-    if contour is None:
-        contour = default_contour(dressed)
     contour.validate(q, c)
     for h in holes:
         if abs(h) > q + 1e-12:
@@ -265,7 +256,7 @@ def smooth_part_G(
 
     res_m = np.exp(-2j * np.pi * nu_omega) - 1.0
     res_p = np.exp(2j * np.pi * nu_omega) - 1.0
-    if np.min(np.abs(res_m)) < resonance_tol or np.min(np.abs(res_p)) < resonance_tol:
+    if np.min(np.abs(res_m)) < _NODE_RESONANCE_TOL or np.min(np.abs(res_p)) < _NODE_RESONANCE_TOL:
         raise ResonanceError("e^{+-2 i pi nu(w)} - 1 vanishes on the contour")
 
     kmat = omega[:, None] - omega[None, :]
@@ -333,13 +324,11 @@ def amplitude(
     nu = special_shift(kind, dressed, lambda0)  # raises on an unknown kind
     q = dressed.q
     pre = 1.0
-    lk_q = lk_mq = None  # ln kappa(+-q), shared by an edge kind's A and B
+    lk_q, lk_mq = log_kappa(nu, q, dressed.grid), log_kappa(nu, -q, dressed.grid)
     if kind == "empty":
-        lk_q = log_kappa(nu, q, dressed.grid)
         a_fac = functional_Aplus(nu, dressed, lk_q)
         g_fac = smooth_part_G(nu, dressed, (), (), contour)
     elif kind == "minus_q":
-        lk_mq = log_kappa(nu, -q, dressed.grid)
         a_fac = functional_Aminus(nu, dressed, lk_mq)
         g_fac = smooth_part_G(nu, dressed, (-q,), (q,), contour)
     else:

@@ -43,6 +43,9 @@ from .excitations import (
 )
 
 
+RATIO_RTOL = 1e-12  # relative tolerance of an evaluation point's t/x against the ratio
+
+
 class LightConeError(ValueError):
     """Evaluation point too close to the light cone x = vF t."""
 
@@ -143,8 +146,6 @@ class ExpansionReport:
         return harmonic_table(self.max_abs_ell, self.dressed, self.lambda0, self.regime,
                               self.ratio_t_over_x)
 
-    harmonic_entries = property(lambda self: self.harmonics)  # the ledger's earlier name
-
 
 def assemble_expansion(
     params_or_dressed,
@@ -178,7 +179,7 @@ class RhoValue:
 
 def evaluate_rho(report: ExpansionReport, x: float, t: float) -> RhoValue:
     """Sum the active explicit terms at one point (x, t) with t/x equal to the
-    report's ratio (to 1e-12 relative).
+    report's ratio (to RATIO_RTOL relative).
 
     Harmonic envelopes are excluded from the value; each active term's modulus
     is reported alongside.
@@ -186,7 +187,7 @@ def evaluate_rho(report: ExpansionReport, x: float, t: float) -> RhoValue:
     if not (x > 0):
         raise ValueError(f"need x > 0, got x = {x}")
     ratio = t / x
-    if abs(ratio - report.ratio_t_over_x) > 1e-12 * abs(report.ratio_t_over_x):
+    if abs(ratio - report.ratio_t_over_x) > RATIO_RTOL * abs(report.ratio_t_over_x):
         raise RatioMismatchError(
             f"t/x = {ratio} but the expansion was assembled at {report.ratio_t_over_x}"
         )

@@ -14,8 +14,8 @@ Configuration is a flat key=value file (``--config``) with command-line
 overrides.  Output is CSV with a '#'-prefixed metadata header block,
 17 significant digits, no timestamps: re-runs are byte-identical.
 
-Exit codes: 0 success, 1 verification failure, 2 config/solver error,
-3 saddle/regime error.
+Exit codes: 0 success, 1 verification failure, 2 config/solver error or
+unwritable output, 3 saddle/regime error.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 from . import fflab
 from .amplitudes import amplitude, default_contour
 from .asymptote import (
+    RATIO_RTOL,
     TERMS,
     ExpansionReport,
     assemble_expansion,  # noqa: F401 -- patched by name in benchmarks/spans.py
@@ -95,14 +96,14 @@ class RunConfig:
             raise ConfigError(f"need contour_nodes >= 16, got {self.contour_nodes}")
         if self.max_abs_ell < 0:
             raise ConfigError(f"need max_abs_ell >= 0, got {self.max_abs_ell}")
-        tol = 1e-12 * max(1.0, abs(self.ratio_t_over_x))
         for x, t in self.eval_points:
             if not (x > 0):
                 raise ConfigError(f"eval point needs x > 0, got ({x}, {t})")
-            if abs(t / x - self.ratio_t_over_x) > tol:
+            # evaluate_rho's test, so a point accepted here is on the ray there
+            if abs(t / x - self.ratio_t_over_x) > RATIO_RTOL * abs(self.ratio_t_over_x):
                 raise ConfigError(
                     f"eval point ({x}, {t}) has t/x = {t / x}, inconsistent "
-                    f"with ratio_t_over_x = {self.ratio_t_over_x} (tol 1e-12)"
+                    f"with ratio_t_over_x = {self.ratio_t_over_x} (relative tol {RATIO_RTOL:g})"
                 )
 
     def points(self) -> list:
@@ -338,11 +339,22 @@ def _z_boundary_residual(d, perturb: float) -> float:
     return abs(1.0 / zq - 1.0 - float(d.phi(-q, q)) + float(d.phi(q, q)))
 
 
-def _exponent_deviation(d, label: str, expected: tuple) -> float:
-    """Exponent pair of an edge term of TERMS (no saddle needed) against `expected`."""
+def _edge_exponents(d, label: str) -> tuple:
+    """(e+, e-) of an edge term of TERMS: no saddle needed."""
     kind, pair = TERMS[label]
-    ep, em, _ = ledger_exponents(special_shift(kind, d), pair)
-    return max(abs(ep - expected[0]), abs(em - expected[1]))
+    return ledger_exponents(special_shift(kind, d), pair)[:2]
+
+
+def _exponent_deviation(d, label: str, expected: tuple) -> float:
+    """Exponent pair of an edge term of TERMS against `expected`."""
+    return max(abs(e - x) for e, x in zip(_edge_exponents(d, label), expected))
+
+
+def _luttinger(d) -> tuple:
+    """(1/(4K), 1/(2K) + 2K) with K = 2pF/vF: each zero-frequency exponent and the
+    2pF exponent sum of a Luttinger liquid (Haldane, PRL 47, 1840 (1981))."""
+    k = 2.0 * d.pF / d.vF
+    return 0.25 / k, 0.5 / k + 2.0 * k
 
 
 def _xn_residual() -> float:
@@ -395,6 +407,13 @@ def _tonks_amplitude_residual(d, contour_nodes: int) -> float:
     return _rel_err(value, float(np.pi * np.exp(4.0 * barnes_g_log(0.5)) * np.sqrt(d.q / 2.0)))
 
 
+def _tonks_two_pF_ratio(d, contour_nodes: int) -> float:
+    """|16 two_pF / zero_freq - 1|: Vaidya and Tracy's ratio 1/16 (PRL 42, 3 (1979))."""
+    contour = default_contour(d, contour_nodes)
+    two_pF, zero_freq = (amplitude(kind, d, contour=contour).value for kind in ("minus_q", "empty"))
+    return abs(16.0 * two_pF / zero_freq - 1.0)
+
+
 CHECKS = {check.name: check for check in (
     Check("Z_phi_identity(c=1,h=1)", 1e-7, "max node residual", _z_phi_residual, ("d11", "perturb")),
     Check("Z_boundary_inverse(c=1,h=1)", 1e-7, "residual", _z_boundary_residual, ("d11", "perturb")),
@@ -416,6 +435,12 @@ CHECKS = {check.name: check for check in (
           lambda amps: max(res.phase_residual / abs(res.value) for res in amps), ("amps",)),
     Check("tonks_amplitude_closed_form", 1e-4, "rel err vs pi G(1/2)^4 sqrt(q/2)",
           _tonks_amplitude_residual, ("tonks", "contour_nodes")),
+    Check("tonks_two_pF_ratio", 1e-4, "|16 two_pF/zero_freq - 1|",
+          _tonks_two_pF_ratio, ("tonks", "contour_nodes")),
+    Check("luttinger_zero_freq_exponents", 1e-10, "worst deviation from 1/(4K), K = 2pF/vF",
+          lambda d: _exponent_deviation(d, "zero_freq", (_luttinger(d)[0],) * 2), ("d11",)),
+    Check("luttinger_two_pF_exponent_sum", 1e-10, "|e+ + e- - 1/(2K) - 2K|",
+          lambda d: abs(sum(_edge_exponents(d, "two_pF")) - _luttinger(d)[1]), ("d11",)),
 )}
 
 # Run by the acceptance gate only: it re-dresses at 192 nodes and re-assembles on
@@ -524,8 +549,12 @@ def main(argv=None) -> int:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {cfg.output_path}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(text)
     return code

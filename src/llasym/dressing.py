@@ -54,6 +54,9 @@ from .model import (
 )
 
 
+_POLE_TOL = 1e-10  # |eps(q)|/h above this at the closed bracket is a pole, not a root
+
+
 class SingularSystemError(RuntimeError):
     """The Nystrom matrix was numerically singular (should not happen for c > 0)."""
 
@@ -189,14 +192,12 @@ def _eps_at_q(q: float, params: ModelParams, n_nodes: int, operators: dict | Non
     return float(eps(q))
 
 
-def find_fermi_boundary(
-    params: ModelParams, tol: float = 1e-10, n_nodes: int = 96, operators: dict | None = None
-) -> float:
+def find_fermi_boundary(params: ModelParams, n_nodes: int = 96, operators: dict | None = None) -> float:
     """q > 0 with eps(q) = 0, by Brent's method on a bracket grown from sqrt(h).
 
     eps(sqrt(h)) < 0 for c > 0; the upper end doubles (at most 12 times) until
     eps changes sign, then the bracket closes to a few ulps of q.  |eps(q)| >
-    tol * h there means a pole of the discretised eps (too few nodes for c).
+    _POLE_TOL * h there means a pole of the discretised eps (too few nodes for c).
     A dict passed as `operators` ends up holding the `NystromOperator` built
     at the returned q (keyed by q), so `dress_all` need not build it again.
     """
@@ -237,7 +238,7 @@ def find_fermi_boundary(
         if operators is not None:  # the q returned is b, or c after a swap
             for key in operators.keys() - {a, b, c}:
                 del operators[key]
-    if not abs(f_b) <= tol * params.h:
+    if not abs(f_b) <= _POLE_TOL * params.h:
         raise BracketFailureError(f"eps changes sign across a pole at q = {b} (eps = {f_b})")
     return float(b)
 
@@ -344,10 +345,10 @@ class DressedSet:
         return self._phi_sol(mu).d1(lam)
 
 
-def dress_all(params: ModelParams, n_nodes: int = 96, tol: float = 1e-10) -> DressedSet:
+def dress_all(params: ModelParams, n_nodes: int = 96) -> DressedSet:
     """Solve the full dressed set at the Fermi boundary fixed by eps(+-q)=0."""
     operators: dict = {}
-    q = find_fermi_boundary(params, tol=tol, n_nodes=n_nodes, operators=operators)
+    q = find_fermi_boundary(params, n_nodes=n_nodes, operators=operators)
     op = operators[q]
     grid = op.grid
     one = lambda lam: np.ones_like(np.asarray(lam, dtype=float)) if np.isrealobj(np.asarray(lam)) else np.ones_like(np.asarray(lam))

@@ -187,16 +187,11 @@ def u_d2(lam, ratio_t_over_x: float, dressed: DressedSet):
     return p_d2 - ratio_t_over_x * eps_d2
 
 
-def find_saddle(
-    ratio_t_over_x: float,
-    dressed: DressedSet,
-    scan_range: float | None = None,
-    n_scan: int = 4001,
-):
+def find_saddle(ratio_t_over_x: float, dressed: DressedSet, n_scan: int = 4001):
     """Unique lam0 with u'(lam0) = 0, u''(lam0) < 0; returns (lam0, regime).
 
-    Sign-change scan on [-scan_range, scan_range] (default max(5q, x/t),
-    bracketing the bare saddle x/(2t)) followed by Newton polish to
+    Sign-change scan on [-s, s] with s = max(5q, x/t), which brackets the
+    bare saddle x/(2t), followed by Newton polish to
     |u'(lam0)| < 1e-10.  Sign changes are counted between consecutive
     nonzero samples, so a sample on which u' is exactly 0 is one root, and
     Newton starts from it.  Errors: NoSaddleError / MultipleSaddlesError /
@@ -205,8 +200,7 @@ def find_saddle(
     if not (ratio_t_over_x > 0):
         raise ValueError("saddle search needs t/x > 0")
     q = dressed.q
-    if scan_range is None:
-        scan_range = max(5.0 * q, 1.0 / ratio_t_over_x)
+    scan_range = max(5.0 * q, 1.0 / ratio_t_over_x)
     grid = np.linspace(-scan_range, scan_range, n_scan)
     vals = u_d1(grid, ratio_t_over_x, dressed)
     signs = np.sign(vals)

@@ -130,9 +130,7 @@ def nu_zero_limit(inst: FFLabInstance) -> complex:
     [1..N].
     """
     keep = (inst.window < 1) | (inst.window > inst.N)
-    mu = inst.mu[keep]
-    vals = inst.phase.e_inv_sq(mu) / (2.0 * np.pi * inst.L * inst.xi.d1(mu))
-    return complex(np.sum(vals))
+    return complex(np.sum(inst.mu_weights[keep]))
 
 
 def _config_count(inst: FFLabInstance) -> int:
@@ -196,15 +194,11 @@ def xn_determinant(inst: FFLabInstance) -> complex:
         return nu_zero_limit(inst)
 
     lam = inst.lam
-    mu = inst.mu
     L = inst.L
-
-    e_inv_mu = inst.phase.e_inv_sq(mu)
-    dxi_mu = inst.xi.d1(mu)
-    base = e_inv_mu / (2.0 * np.pi * L * dxi_mu)
+    base = inst.mu_weights
 
     s0 = np.sum(base)
-    diff = mu[:, None] - lam[None, :]
+    diff = inst.mu[:, None] - lam[None, :]
     if np.min(np.abs(diff)) < 1e-14:
         raise CoincidentRapidityError("a shifted point collides with an occupation point")
     s1 = base @ (1.0 / diff)

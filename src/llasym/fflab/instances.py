@@ -153,6 +153,11 @@ class FFLabInstance:
         """Occupation points mu_a, a = -w..w (index a+w)."""
         return self.xi.inverse(self.window / self.L)
 
+    @property
+    def mu_weights(self) -> np.ndarray:
+        """E^(-2)(mu_a)/(2*pi*L*xi'(mu_a)): each occupation point's discrete-sum weight."""
+        return self.phase.e_inv_sq(self.mu) / (2.0 * np.pi * self.L * self.xi.d1(self.mu))
+
     def mu_at(self, a):
         """mu for integer label(s) a in the window."""
         return self.xi.inverse(np.asarray(a) / self.L)

@@ -22,6 +22,9 @@ __all__ = [
     "lagrange_series",
 ]
 
+_N_SAMPLE = 48  # points per circle of the torus where |phi_j| < r_j is checked
+_FIXED_POINT_TOL = 1e-14  # step size at which the fixed-point iteration has converged
+
 
 class ContractionError(ValueError):
     """|phi_j| >= r_j somewhere on the torus |sigma_j| = r_j."""
@@ -36,9 +39,12 @@ def _eval_grid(fn, grids):
     return np.broadcast_to(val, np.broadcast_shapes(*(g.shape for g in grids)))
 
 
-def _check_contraction(phis, radii, n_sample: int = 48):
-    s = len(phis)
-    theta = 2.0 * np.pi * np.arange(n_sample) / n_sample
+def _contraction_radii(phis, radii) -> tuple:
+    """radii (default 1 per variable), checked: |phi_j| < r_j on the torus."""
+    radii = (1.0,) * len(phis) if radii is None else radii
+    if len(radii) != len(phis):
+        raise ValueError("need one radius per variable")
+    theta = 2.0 * np.pi * np.arange(_N_SAMPLE) / _N_SAMPLE
     ring = np.exp(1j * theta)
     axes = np.meshgrid(*[r * ring for r in radii], indexing="ij")
     for j, (phi, rj) in enumerate(zip(phis, radii)):
@@ -46,10 +52,10 @@ def _check_contraction(phis, radii, n_sample: int = 48):
         if worst >= rj:
             raise ContractionError(
                 f"|phi_{j + 1}| reaches {worst:.6g} >= r_{j + 1} = {rj} on the torus")
+    return radii
 
 
-def lagrange_series(phis, f, max_order: int, radii=None,
-                    n_theta: int | None = None) -> np.ndarray:
+def lagrange_series(phis, f, max_order: int, radii=None) -> np.ndarray:
     """Partial sums of the Lagrange series through each total order.
 
     Returns an array P with P[k] = sum of all terms of total order <= k,
@@ -58,13 +64,9 @@ def lagrange_series(phis, f, max_order: int, radii=None,
     s = len(phis)
     if s not in (1, 2):
         raise ValueError("only one- and two-dimensional series are supported")
-    if radii is None:
-        radii = (1.0,) * s
-    if len(radii) != s:
-        raise ValueError("need one radius per variable")
-    _check_contraction(phis, radii)
+    radii = _contraction_radii(phis, radii)
 
-    m = n_theta or max(64, 4 * max_order + 8)
+    m = max(64, 4 * max_order + 8)
     theta = 2.0 * np.pi * np.arange(m) / m
     # coefficients are extracted on circles of half the contraction radius
     rho = [0.5 * r for r in radii]
@@ -97,21 +99,16 @@ def lagrange_series(phis, f, max_order: int, radii=None,
     return np.cumsum(order_sum)
 
 
-def lagrange_closed_form(phis, f, radii=None, tol: float = 1e-14,
-                         max_iter: int = 1000) -> complex:
+def lagrange_closed_form(phis, f, radii=None, max_iter: int = 1000) -> complex:
     """f(z)/det(I - Dphi)(z) at the fixed point z_j = phi_j(z)."""
     s = len(phis)
-    if radii is None:
-        radii = (1.0,) * s
-    _check_contraction(phis, radii)
+    radii = _contraction_radii(phis, radii)
 
     z = np.zeros(s, dtype=complex)
     for _ in range(max_iter):
-        z_new = np.array([complex(phi(*z)) for phi in phis])
-        if np.max(np.abs(z_new - z)) < tol:
-            z = z_new
+        z, z_old = np.array([complex(phi(*z)) for phi in phis]), z
+        if np.max(np.abs(z - z_old)) < _FIXED_POINT_TOL:
             break
-        z = z_new
     else:
         raise FixedPointError(f"no fixed point after {max_iter} iterations")
 

@@ -24,13 +24,17 @@ import numpy as np
 from ..dressing import legendre_rule
 from .discrete import integrable_resummation
 from .instances import AffineCounting, FFLabInstance, NuFunction, QuadraticPhase
-from .singsum import polyline_nodes
+from .singsum import descending_nodes
 
 __all__ = [
     "ContourResonanceError",
     "fredholm_minor_limit",
     "minor_instance",
 ]
+
+_Q = np.pi  # interval edge: minor_instance's counting function z/2pi + 1/2 fills (-pi, pi)
+_HEIGHT = 0.75  # half-height of the descending contour
+_RESONANCE_TOL = 1e-8  # pole guard of the weight 1/(e^{-2 i pi nu} - 1) on the interval
 
 
 class ContourResonanceError(ValueError):
@@ -52,23 +56,12 @@ def minor_instance(L: int, nu: NuFunction | None = None,
                          nu=nu, phase=QuadraticPhase(x=x, tau=tau))
 
 
-def _descending_contour(phase: QuadraticPhase, q: float, half_width: float,
-                        height: float, max_panel: float, n_gauss: int):
-    knee = phase.knee
-    if knee <= q + 1e-6:
+def fredholm_minor_limit(nu: NuFunction, phase: QuadraticPhase, *,
+                         n_interval: int = 64, half_width: float = 25.0) -> complex:
+    """Evaluate the Fredholm-minor expression on [-pi, pi]."""
+    if phase.knee <= _Q + 1e-6:
         raise ValueError("phase stationary point must sit right of the interval")
-    verts = [-half_width + 1j * height, knee + 1j * height,
-             knee - 1j * height, half_width - 1j * height]
-    return polyline_nodes(verts, max_panel, n_gauss)
-
-
-def fredholm_minor_limit(nu: NuFunction, phase: QuadraticPhase, q: float = np.pi,
-                         *, n_interval: int = 64, half_width: float = 25.0,
-                         height: float = 0.75, max_panel: float = 0.2,
-                         n_gauss: int = 16,
-                         resonance_tol: float = 1e-8) -> complex:
-    """Evaluate the Fredholm-minor expression on [-q, q]."""
-    zc, wc = _descending_contour(phase, q, half_width, height, max_panel, n_gauss)
+    zc, wc = descending_nodes(-half_width, phase.knee, half_width, _HEIGHT)
     e_inv_c = phase.e_inv_sq(zc)
     s_contour = np.sum(e_inv_c * wc) / (2.0 * np.pi)
 
@@ -78,12 +71,12 @@ def fredholm_minor_limit(nu: NuFunction, phase: QuadraticPhase, q: float = np.pi
 
     # Gauss-Legendre on the interval
     t, wt = legendre_rule(n_interval)
-    t = q * t
-    wt = q * wt
+    t = _Q * t
+    wt = _Q * wt
 
     nu_t = nu(t)
     res_weight = np.exp(-2j * np.pi * nu_t) - 1.0
-    if np.min(np.abs(res_weight)) < resonance_tol:
+    if np.min(np.abs(res_weight)) < _RESONANCE_TOL:
         raise ContourResonanceError(
             "exp(-2 i pi nu) - 1 vanishes on the interval; the local term diverges")
 

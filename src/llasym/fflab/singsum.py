@@ -30,35 +30,39 @@ from .instances import FFLabInstance
 __all__ = [
     "ContourPlacementError",
     "SingularSumResult",
-    "leg_nodes",
+    "descending_nodes",
     "polyline_nodes",
     "singular_sum",
 ]
+
+_MAX_PANEL = 0.2  # longest panel of the composite Gauss-Legendre rule on a polyline leg
+_N_GAUSS = 16  # nodes per panel
+_HEIGHT = 1.5  # half-height of the contours around the window
 
 
 class ContourPlacementError(ValueError):
     """The evaluation point sits on or too close to a contour or a pole."""
 
 
-def leg_nodes(z0: complex, z1: complex, max_panel: float = 0.25,
-              n_gauss: int = 16):
-    """Composite Gauss-Legendre nodes and complex weights along a segment."""
-    x, wx = legendre_rule(n_gauss)
-    length = abs(z1 - z0)
-    n_panels = max(1, int(np.ceil(length / max_panel)))
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    t = (edges[:-1, None] + np.diff(edges)[:, None] * (x[None, :] + 1.0) / 2.0).ravel()
-    wt = (np.diff(edges)[:, None] * wx[None, :] / 2.0).ravel()
-    return z0 + t * (z1 - z0), wt * (z1 - z0)
-
-
-def polyline_nodes(vertices, max_panel: float = 0.25, n_gauss: int = 16):
+def polyline_nodes(vertices):
+    """Composite Gauss-Legendre nodes and complex weights along a polyline."""
+    x, wx = legendre_rule(_N_GAUSS)
     zs, ws = [], []
     for z0, z1 in zip(vertices[:-1], vertices[1:]):
-        z, w = leg_nodes(complex(z0), complex(z1), max_panel, n_gauss)
-        zs.append(z)
-        ws.append(w)
+        z0, z1 = complex(z0), complex(z1)
+        n_panels = max(1, int(np.ceil(abs(z1 - z0) / _MAX_PANEL)))
+        edges = np.linspace(0.0, 1.0, n_panels + 1)
+        t = (edges[:-1, None] + np.diff(edges)[:, None] * (x[None, :] + 1.0) / 2.0).ravel()
+        wt = (np.diff(edges)[:, None] * wx[None, :] / 2.0).ravel()
+        zs.append(z0 + t * (z1 - z0))
+        ws.append(wt * (z1 - z0))
     return np.concatenate(zs), np.concatenate(ws)
+
+
+def descending_nodes(left: float, knee: float, right: float, height: float):
+    """Nodes and weights of the descending polyline left+ih, knee+ih, knee-ih, right-ih."""
+    return polyline_nodes([left + 1j * height, knee + 1j * height,
+                           knee - 1j * height, right - 1j * height])
 
 
 @dataclass(frozen=True)
@@ -89,9 +93,7 @@ def _window_edges(inst: FFLabInstance):
     return a_left, b_right
 
 
-def singular_sum(inst: FFLabInstance, r: int, lam: float, *,
-                 height: float = 1.5, max_panel: float = 0.2,
-                 n_gauss: int = 16) -> SingularSumResult:
+def singular_sum(inst: FFLabInstance, r: int, lam: float) -> SingularSumResult:
     """Evaluate S_r(lam) and its exact contour decomposition."""
     if r not in (0, 1, 2):
         raise ValueError("r must be 0, 1 or 2")
@@ -100,9 +102,7 @@ def singular_sum(inst: FFLabInstance, r: int, lam: float, *,
     L = inst.L
     a_left, b_right = _window_edges(inst)
     knee = phase.knee
-    h = float(height)
-    if h <= 0:
-        raise ValueError("contour height must be positive")
+    h = _HEIGHT
     if not (a_left + 1e-3 < lam < min(knee, b_right) - 1e-3):
         raise ContourPlacementError(
             f"lam={lam} must sit inside ({a_left:.3f}, {min(knee, b_right):.3f}) "
@@ -123,16 +123,16 @@ def singular_sum(inst: FFLabInstance, r: int, lam: float, *,
         return 1.0 / (1.0 - np.exp(-2j * np.pi * L * inst.xi(z)))
 
     # discrete sum
-    mu = inst.mu
-    base = phase.e_inv_sq(mu) / (2.0 * np.pi * L * inst.xi.d1(mu))
-    discrete = complex(np.sum(base / (mu - lam) ** r))
+    discrete = complex(np.sum(inst.mu_weights / (inst.mu - lam) ** r))
 
-    # main: descending contour above lam, crossing the axis at the knee
+    # main: descending contour above lam, crossing the axis at the knee,
+    # from a_left + ih to right_end
     if knee < b_right:
-        bk = [a_left + 1j * h, knee + 1j * h, knee - 1j * h, b_right - 1j * h]
+        z, wz = descending_nodes(a_left, knee, b_right, h)
+        right_end = b_right - 1j * h
     else:
-        bk = [a_left + 1j * h, b_right + 1j * h]
-    z, wz = polyline_nodes(bk, max_panel, n_gauss)
+        right_end = b_right + 1j * h
+        z, wz = polyline_nodes([a_left + 1j * h, right_end])
     main = complex(np.sum(f_plain(z) * wz) / (2.0 * np.pi))
 
     # local residue terms at z = lam
@@ -154,19 +154,12 @@ def singular_sum(inst: FFLabInstance, r: int, lam: float, *,
     # plain risers up to the descending contour's endpoints, plus the
     # weighted upper and lower halves of the rectangle boundary
     rem = 0.0 + 0.0j
-    bd_legs = [(a_left, a_left + 1j * h)]
-    if knee < b_right:
-        bd_legs.append((b_right - 1j * h, b_right))
-    else:
-        bd_legs.append((b_right + 1j * h, b_right))
-    for z0, z1 in bd_legs:
-        z, wz = polyline_nodes([z0, z1], max_panel, n_gauss)
+    for z0, z1 in ((a_left, a_left + 1j * h), (right_end, b_right)):
+        z, wz = polyline_nodes([z0, z1])
         rem += np.sum(f_plain(z) * wz)
-    z, wz = polyline_nodes(
-        [b_right, b_right + 1j * h, a_left + 1j * h, a_left], max_panel, n_gauss)
+    z, wz = polyline_nodes([b_right, b_right + 1j * h, a_left + 1j * h, a_left])
     rem += np.sum(f_plain(z) * weight_upper(z) * wz)
-    z, wz = polyline_nodes(
-        [a_left, a_left - 1j * h, b_right - 1j * h, b_right], max_panel, n_gauss)
+    z, wz = polyline_nodes([a_left, a_left - 1j * h, b_right - 1j * h, b_right])
     rem += np.sum(f_plain(z) * weight_lower(z) * wz)
     rem /= 2.0 * np.pi
 

@@ -38,10 +38,10 @@ class ModelParams:
             raise ValueError(f"chemical potential must be positive, got h={self.h}")
 
 
-def _check_strip(lam, c: float, margin: float = 1.0) -> None:
+def _check_strip(lam, c: float) -> None:
     im = np.max(np.abs(np.imag(np.asarray(lam, dtype=complex))))
-    if im >= margin * c:
-        raise StripError(f"|Im lam| = {im} >= {margin}*c = {margin * c}")
+    if im >= c:
+        raise StripError(f"|Im lam| = {im} >= c = {c}")
 
 
 def bare_phase(lam, params: ModelParams):

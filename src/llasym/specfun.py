@@ -21,6 +21,7 @@ _EULER_GAMMA = float(np.euler_gamma)
 _ZETA_TABLE = zeta(np.arange(2, 60, dtype=float))
 _KS = np.arange(3, 61, dtype=float)
 _SIGNS = (-1.0) ** (_KS - 1.0)
+_MAX_STEPS = 100  # recurrence shifts allowed to bring x into [1/2, 3/2]
 
 
 def _ln_g_one_plus(w: float) -> float:
@@ -30,11 +31,11 @@ def _ln_g_one_plus(w: float) -> float:
     return 0.5 * _LN_2PI * w - 0.5 * w * (w + 1.0) - 0.5 * _EULER_GAMMA * w * w + tail
 
 
-def barnes_g_log(x: float, max_steps: int = 100):
+def barnes_g_log(x: float):
     """ln G(x) for real non-integer x (and any x > 0).
 
     Series evaluation on x in [1/2, 3/2], shifted there by the recurrence
-    G(x+1) = Gamma(x) G(x) (at most `max_steps` shifts).  G is positive on
+    G(x+1) = Gamma(x) G(x) (at most `_MAX_STEPS` shifts).  G is positive on
     x > 0 and the return value is a float; for negative x where G(x) < 0
     the principal complex log (ln|G| + i pi) is returned.  G vanishes at
     x = 0, -1, -2, ... where the log diverges (ValueError).
@@ -52,14 +53,14 @@ def barnes_g_log(x: float, max_steps: int = 100):
         log_abs += float(gammaln(x))
         sign *= float(gammasgn(x))
         steps += 1
-        if steps > max_steps:
+        if steps > _MAX_STEPS:
             raise ValueError("barnes_g_log: too many recurrence steps")
     while x < 0.5:
         log_abs -= float(gammaln(x))
         sign *= float(gammasgn(x))
         x += 1.0
         steps += 1
-        if steps > max_steps:
+        if steps > _MAX_STEPS:
             raise ValueError("barnes_g_log: too many recurrence steps")
     log_abs += _ln_g_one_plus(x - 1.0)
     return log_abs if sign > 0 else complex(log_abs, np.pi)

@@ -42,7 +42,8 @@ def _run(names, **bound) -> list:
 
 def test_criterion_1_dressed_charge_phase_identity(dressed_11, dressed_41, dressed_162):
     names = ("Z_phi_identity(c=1,h=1)", "Z_boundary_inverse(c=1,h=1)",
-             "Z_phi_identity(c=4,h=1)", "Z_phi_identity(c=16,h=2)")
+             "Z_phi_identity(c=4,h=1)", "Z_phi_identity(c=16,h=2)",
+             "luttinger_zero_freq_exponents", "luttinger_two_pF_exponent_sum")
     _gate("criterion_1", _run(names, d11=dressed_11, d41=dressed_41, d162=dressed_162,
                               perturb=0.0))
 
@@ -51,8 +52,8 @@ def test_criterion_1_dressed_charge_phase_identity(dressed_11, dressed_41, dress
 
 def test_criterion_2_impenetrable_limit(dressed_tonks):
     names = ("tonks_fermi_boundary", "tonks_dressed_charge", "tonks_fermi_velocity",
-             "tonks_exponents_zero_freq", "tonks_exponents_two_pF")
-    _gate("criterion_2", _run(names, tonks=dressed_tonks))
+             "tonks_exponents_zero_freq", "tonks_exponents_two_pF", "tonks_two_pF_ratio")
+    _gate("criterion_2", _run(names, tonks=dressed_tonks, contour_nodes=256))
 
 
 # ----------------------------------------------------------------- 3

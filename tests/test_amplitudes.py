@@ -28,7 +28,7 @@ from llasym.amplitudes import (
     functional_B,
     smooth_part_G,
 )
-from llasym.specfun import barnes_g_log
+from llasym.specfun import barnes_g_log, log_kappa
 
 RATIO = 0.2
 
@@ -115,21 +115,27 @@ def test_tonks_smooth_part_trivial(dressed_tonks):
     assert abs(g0 - 1.0) < 1e-4
 
 
+def _edge_log_kappas(nu, d) -> tuple:
+    """(ln kappa(q), ln kappa(-q)), the values `amplitude` passes to the functionals."""
+    return log_kappa(nu, d.q, d.grid), log_kappa(nu, -d.q, d.grid)
+
+
 def test_b_functional_symmetric_in_nodes(dressed_11):
     # B depends on the dressed set only through converged quadratures:
     # rebuilding the dressed set at doubled nodes must not move it
     nu96 = special_shift("empty", dressed_11)
-    b96 = functional_B(nu96, dressed_11)
+    b96 = functional_B(nu96, dressed_11, *_edge_log_kappas(nu96, dressed_11))
     d192 = dress_all(ModelParams(c=1.0, h=1.0), n_nodes=192)
-    b192 = functional_B(special_shift("empty", d192), d192)
+    nu192 = special_shift("empty", d192)
+    b192 = functional_B(nu192, d192, *_edge_log_kappas(nu192, d192))
     assert b192 == pytest.approx(b96, rel=1e-9)
 
 
 def test_edge_functionals_finite_and_conjugate_structure(dressed_11):
     nu_e = special_shift("empty", dressed_11)
     nu_m = special_shift("minus_q", dressed_11)
-    ap = functional_Aplus(nu_e, dressed_11)
-    am = functional_Aminus(nu_m, dressed_11)
+    ap = functional_Aplus(nu_e, dressed_11, _edge_log_kappas(nu_e, dressed_11)[0])
+    am = functional_Aminus(nu_m, dressed_11, _edge_log_kappas(nu_m, dressed_11)[1])
     assert np.isfinite(ap) and np.isfinite(am)
     assert ap != 0 and am != 0
 
@@ -138,19 +144,16 @@ def test_edge_functionals_finite_and_conjugate_structure(dressed_11):
 def test_edge_amplitude_takes_each_log_kappa_once(monkeypatch, dressed_11, kind, edge):
     d = replace(dressed_11)
     q = d.q
-    nu = special_shift(kind, d)
-    lk = amplitudes.log_kappa(nu, edge * q, d.grid)
-    # a functional handed ln kappa gives the bits it computes on its own
-    a_fac = functional_Aplus if kind == "empty" else functional_Aminus
-    assert repr(a_fac(nu, d, lk)) == repr(a_fac(nu, d))
-    shared = {"lk_q": lk} if kind == "empty" else {"lk_mq": lk}
-    assert repr(functional_B(nu, d, **shared)) == repr(functional_B(nu, d))
-    points = []
-    log_kappa = amplitudes.log_kappa
+    points, handed = [], []
     monkeypatch.setattr(amplitudes, "log_kappa",
                         lambda nu, lam, grid: points.append(lam) or log_kappa(nu, lam, grid))
+    a_name = "functional_Aplus" if kind == "empty" else "functional_Aminus"
+    a_fac = getattr(amplitudes, a_name)
+    monkeypatch.setattr(amplitudes, a_name, lambda nu, d, lk: handed.append(lk) or a_fac(nu, d, lk))
     amplitude(kind, d)
     assert sorted(points) == [-q, q]
+    # the edge functional gets ln kappa at its own edge
+    assert handed == [log_kappa(special_shift(kind, d), edge * q, d.grid)]
 
 
 def _count_smooth_parts(monkeypatch):

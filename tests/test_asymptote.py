@@ -172,7 +172,7 @@ def test_stages_before_amplitudes_never_assemble_one(monkeypatch, dressed_11):
     monkeypatch.setattr(asymptote, "amplitude", no_amplitude)
     report = ExpansionReport(dressed_11, RATIO)
     assert set(report.shift_values) == set(report.exponents) == set(TERMS)
-    assert report.harmonic_entries and report.u_dd_at_lambda0 < 0.0
+    assert report.harmonics and report.u_dd_at_lambda0 < 0.0
     with pytest.raises(AssertionError, match="amplitude assembled"):
         report.terms
     cfg = RunConfig(n_nodes=48, contour_nodes=64)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from llasym.cli import CHECKS
+from llasym.cli import CHECKS, main
 
 from golden_diff import golden_mismatch
 
@@ -74,6 +74,8 @@ def test_out_writes_file_and_keeps_stdout_empty(tmp_path):
     (["c = -1.0"], "need c > 0"),
     (["coupling = 1.0"], "unknown config key"),
     (["ratio_t_over_x = 0.5", "eval_points = 10:2"], "inconsistent"),
+    # off the ray by 2.5e-12 relative: for t/x < 1 evaluate_rho would reject it
+    (["ratio_t_over_x = 0.02", "eval_points = 100.0:2.00000000005"], "inconsistent"),
 ])
 def test_config_errors_exit_2(tmp_path, lines, fragment):
     cfg = tmp_path / "bad.cfg"
@@ -112,6 +114,14 @@ def test_no_file_written_on_error(tmp_path):
     res = run_cli("dress", "--config", str(cfg), "--out", str(target))
     assert res.returncode == 2
     assert not target.exists()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "dress.csv"
+    assert main(["dress", "--config", str(DATA / "dress_c4.cfg"), "--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
 
 
 def _verify_body(stdout: str) -> list:

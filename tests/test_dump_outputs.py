@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from golden_diff import golden_mismatch
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "dump_outputs.py"
+GOLDEN = Path(__file__).parent / "data" / "dump_c4.golden"
 
 
 @pytest.fixture(scope="module")
@@ -28,3 +31,5 @@ def test_one_coupling_dumps_every_reported_number(dump):
         assert sum(" raw=(" in ln for ln in rows) == active * len(dump.CONTOUR_NODES)
         assert sum("RhoValue(" in ln for ln in rows) == len(dump.RHO_XS)
     assert len(lines) == 1 + sum(1 + 16 + 2 * (3 if r < 1.0 else 2) + 3 for r in dump.RATIOS)
+    text, expected = "".join(line + "\n" for line in lines), GOLDEN.read_text()
+    assert text == expected, golden_mismatch(text, expected)
