@@ -4,15 +4,7 @@ plus a finite-size verification laboratory (llasym.fflab)."""
 
 from .model import ModelParams
 from .dressing import DressedSet, dress_all
-from .excitations import (
-    Excitation,
-    ShiftFn,
-    critical_exponent_pair,
-    find_saddle,
-    harmonic_table,
-    shift_function,
-    special_shift,
-)
+from .excitations import ShiftFn, find_saddle, harmonic_table, special_shift
 from .amplitudes import AmplitudeResult, amplitude, default_contour
 from .asymptote import ExpansionReport, RhoValue, assemble_expansion, evaluate_rho
 
@@ -20,12 +12,9 @@ __all__ = [
     "ModelParams",
     "DressedSet",
     "dress_all",
-    "Excitation",
     "ShiftFn",
-    "critical_exponent_pair",
     "find_saddle",
     "harmonic_table",
-    "shift_function",
     "special_shift",
     "AmplitudeResult",
     "amplitude",

@@ -31,11 +31,12 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from .dressing import DressedSet, QuadGrid
-from .excitations import SPACE_LIKE, TERMS, TIME_LIKE, ShiftFn, ledger_exponents, special_shift
+from .excitations import TERMS, ShiftFn, active_terms, ledger_exponents, special_shift
 from .model import lieb_kernel
 from .specfun import barnes_g_log, c0_double_integral, cauchy_segment, log_kappa
 
 
+CONTOUR_NODES = 256  # trapezoid nodes of the default contour
 _EDGE_RESONANCE_TOL = 1e-8  # pole guard of 1/(e^{-2 i pi nu(+-q)} - 1) in A+ and A-
 _NODE_RESONANCE_TOL = 1e-6  # pole guard of 1/(e^{+-2 i pi nu(w)} - 1) on the contour nodes
 
@@ -54,7 +55,7 @@ class ContourSpec:
 
     semi_major: float
     semi_minor: float
-    n_nodes: int = 256
+    n_nodes: int = CONTOUR_NODES
 
     def validate(self, q: float, c: float) -> None:
         if self.semi_major <= q * (1.0 + 1e-3):
@@ -76,7 +77,7 @@ class ContourSpec:
         return nodes, weights
 
 
-def default_contour(dressed: DressedSet, n_nodes: int = 256) -> ContourSpec:
+def default_contour(dressed: DressedSet, n_nodes: int = CONTOUR_NODES) -> ContourSpec:
     # a tall ellipse keeps the contour away from near-resonances of
     # 1/(e^{+-2 i pi nu(w)} - 1) that sit close to the real axis.  It always
     # passes `validate`: 1.5q > q and 0 < min(0.22c, 0.75q) < c/4
@@ -118,21 +119,13 @@ def functional_Aminus(nu: ShiftFn, dressed: DressedSet, lk_mq: complex) -> compl
     return complex(pref * gammas * pow_ * _resonance_factor(nmq, -1))
 
 
-def functional_A0(nu: ShiftFn, dressed: DressedSet, lambda0: float, regime: str) -> complex:
-    """A0[nu] = e^{-i pi/4} kappa^-2(lambda0) ((lambda0 - q)/(lambda0 + q))^{2 nu(lambda0)}.
-
-    In the time-like regime lambda0 < q and the branch is (lambda0 - q) ->
-    |lambda0 - q| e^{i pi}.
-    """
+def functional_A0(nu: ShiftFn, dressed: DressedSet, lambda0: float) -> complex:
+    """A0[nu] = e^{-i pi/4} kappa^-2(lambda0) ((lambda0 - q)/(lambda0 + q))^{2 nu(lambda0)}
+    at a space-like saddle lambda0 > q."""
     q = dressed.q
     n0 = float(nu(lambda0))
     lk = log_kappa(nu, lambda0, dressed.grid)
-    if regime == SPACE_LIKE:
-        log_ratio = np.log((lambda0 - q) / (lambda0 + q))
-    elif regime == TIME_LIKE:
-        log_ratio = np.log(abs(lambda0 - q) / (lambda0 + q)) + 1j * np.pi
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
+    log_ratio = np.log((lambda0 - q) / (lambda0 + q))
     return complex(np.exp(-0.25j * np.pi - 2.0 * lk + 2.0 * n0 * log_ratio))
 
 
@@ -309,7 +302,9 @@ def amplitude(
     saddle  : e^{i pi/4} / (2 pi p'(lambda0)) A0 B G_1(lambda0; q)
 
     each times exp{i pi/2 (e- - e+)}, with (e+, e-) the exponent pair of the
-    kind's ledger pair in TERMS.  A contour of None is `default_contour(dressed)`.
+    kind's ledger pair in TERMS.  The saddle amplitude exists only where
+    `active_terms(regime)` lists it: a time-like saddle raises ValueError.  A
+    contour of None is `default_contour(dressed)`.
     The edge amplitudes (empty, minus_q) do not depend on the ray, so each is
     computed once per (dressed set, contour) and kept on the dressed set; the
     saddle amplitude depends on lambda0 and is computed on every call.
@@ -319,8 +314,8 @@ def amplitude(
     memo = dressed._edge_amplitudes
     if (kind, contour) in memo:
         return memo[kind, contour]
-    if kind == "saddle" and (lambda0 is None or regime is None):
-        raise ValueError("saddle amplitude needs lambda0 and regime")
+    if kind == "saddle" and "saddle" not in active_terms(regime):
+        raise ValueError(f"saddle amplitude needs the space-like regime, got {regime!r}")
     nu = special_shift(kind, dressed, lambda0)  # raises on an unknown kind
     q = dressed.q
     pre = 1.0
@@ -332,7 +327,7 @@ def amplitude(
         a_fac = functional_Aminus(nu, dressed, lk_mq)
         g_fac = smooth_part_G(nu, dressed, (-q,), (q,), contour)
     else:
-        a_fac = functional_A0(nu, dressed, lambda0, regime)
+        a_fac = functional_A0(nu, dressed, lambda0)
         g_fac = smooth_part_G(nu, dressed, (float(lambda0),), (q,), contour)
         pre = np.exp(0.25j * np.pi) / (2.0 * np.pi * float(dressed.p_d1(lambda0)))
 

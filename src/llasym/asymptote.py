@@ -152,24 +152,24 @@ def assemble_expansion(
     ratio_t_over_x: float,
     max_abs_ell: int = 2,
     contour: ContourSpec | None = None,
-    n_nodes: int = 96,
 ) -> ExpansionReport:
     """Build the term table at fixed ratio t/x > 0.
 
     The saddle term is active only in the space-like regime; in the time-like
     regime it is listed inactive with no amplitude.  Harmonics up to |l+-| <=
-    max_abs_ell are appended with amplitude None, never summed.
+    max_abs_ell are appended with amplitude None, never summed.  Parameters
+    are dressed at `dress_all`'s default node count.
     """
     if isinstance(params_or_dressed, DressedSet):
         dressed = params_or_dressed
     else:
-        dressed = dress_all(params_or_dressed, n_nodes=n_nodes)
+        dressed = dress_all(params_or_dressed)
     report = ExpansionReport(dressed, ratio_t_over_x, max_abs_ell, contour)
     report.terms, report.harmonics  # every stage runs here, so evaluate_rho only sums
     return report
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RhoValue:
     x: float
     t: float
@@ -184,10 +184,11 @@ def evaluate_rho(report: ExpansionReport, x: float, t: float) -> RhoValue:
     Harmonic envelopes are excluded from the value; each active term's modulus
     is reported alongside.
     """
-    if not (x > 0):
-        raise ValueError(f"need x > 0, got x = {x}")
+    # written so that a NaN fails each test
+    if not (0 < x < math.inf):
+        raise ValueError(f"need finite x > 0, got x = {x}")
     ratio = t / x
-    if abs(ratio - report.ratio_t_over_x) > RATIO_RTOL * abs(report.ratio_t_over_x):
+    if not (abs(ratio - report.ratio_t_over_x) <= RATIO_RTOL * abs(report.ratio_t_over_x)):
         raise RatioMismatchError(
             f"t/x = {ratio} but the expansion was assembled at {report.ratio_t_over_x}"
         )
@@ -211,10 +212,9 @@ def evaluate_rho(report: ExpansionReport, x: float, t: float) -> RhoValue:
         )
         osc = cmath.exp(1j * x * term.frequency)
         if term.label == "saddle":
-            # sqrt(-2 i pi / (t eps'' - x p'')) = e^{-i pi/4} sqrt(2 pi / (-x u''))
+            # sqrt(-2 i pi / (t eps'' - x p'')) = e^{-i pi/4} sqrt(2 pi / (-x u'')),
+            # with u'' < 0 at the saddle (find_saddle) and x > 0
             curv = -x * report.u_dd_at_lambda0
-            if curv <= 0:
-                raise ValueError("saddle curvature t eps'' - x p'' must be positive")
             pref = (
                 cmath.exp(-0.25j * math.pi)
                 * math.sqrt(2.0 * math.pi / curv)

@@ -1,15 +1,5 @@
 """Command-line front end.
 
-Subcommands
------------
-dress        dressed thermodynamics table on the quadrature grid
-saddle       saddle point of u = p - (t/x) eps at the configured ratio
-exponents    shift-function boundary values and critical exponent pairs
-amplitudes   assembled term amplitudes with phase residuals
-asymptotics  term table plus rho(x, t) evaluation table
-harmonics    subleading harmonic ladder (exponents only, no amplitudes)
-verify       self-check suite (identities and exact oracles)
-
 Configuration is a flat key=value file (``--config``) with command-line
 overrides.  Output is CSV with a '#'-prefixed metadata header block,
 17 significant digits, no timestamps: re-runs are byte-identical.
@@ -21,6 +11,7 @@ unwritable output, 3 saddle/regime error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -28,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import fflab
-from .amplitudes import amplitude, default_contour
+from .amplitudes import CONTOUR_NODES, amplitude, default_contour
 from .asymptote import (
     RATIO_RTOL,
     TERMS,
@@ -36,7 +27,7 @@ from .asymptote import (
     assemble_expansion,  # noqa: F401 -- patched by name in benchmarks/spans.py
     evaluate_rho,
 )
-from .dressing import BracketFailureError, SingularSystemError, dress_all
+from .dressing import N_NODES, BracketFailureError, SingularSystemError, dress_all
 from .excitations import (
     DegenerateSaddleError,
     MultipleSaddlesError,
@@ -74,22 +65,19 @@ class RunConfig:
     c: float = 1.0
     h: float = 1.0
     ratio_t_over_x: float = 0.2
-    n_nodes: int = 96
-    contour_nodes: int = 256
+    n_nodes: int = N_NODES
+    contour_nodes: int = CONTOUR_NODES
     max_abs_ell: int = 2
     eval_points: tuple = ()
     output_path: str = ""
     perturb: float = 0.0
 
     def validate(self) -> None:
-        if not (self.c > 0):
-            raise ConfigError(f"need c > 0, got c = {self.c}")
-        if not (self.h > 0):
-            raise ConfigError(f"need h > 0, got h = {self.h}")
-        if not (self.ratio_t_over_x > 0):
-            raise ConfigError(
-                f"need ratio_t_over_x > 0, got {self.ratio_t_over_x}"
-            )
+        # each test is written so that a NaN fails it
+        for key in ("c", "h", "ratio_t_over_x"):
+            val = getattr(self, key)
+            if not (0 < val < math.inf):
+                raise ConfigError(f"need {key} > 0 and finite, got {key} = {val}")
         if self.n_nodes < 8:
             raise ConfigError(f"need n_nodes >= 8, got {self.n_nodes}")
         if self.contour_nodes < 16:
@@ -97,10 +85,10 @@ class RunConfig:
         if self.max_abs_ell < 0:
             raise ConfigError(f"need max_abs_ell >= 0, got {self.max_abs_ell}")
         for x, t in self.eval_points:
-            if not (x > 0):
-                raise ConfigError(f"eval point needs x > 0, got ({x}, {t})")
+            if not (0 < x < math.inf):
+                raise ConfigError(f"eval point needs finite x > 0, got ({x}, {t})")
             # evaluate_rho's test, so a point accepted here is on the ray there
-            if abs(t / x - self.ratio_t_over_x) > RATIO_RTOL * abs(self.ratio_t_over_x):
+            if not (abs(t / x - self.ratio_t_over_x) <= RATIO_RTOL * abs(self.ratio_t_over_x)):
                 raise ConfigError(
                     f"eval point ({x}, {t}) has t/x = {t / x}, inconsistent "
                     f"with ratio_t_over_x = {self.ratio_t_over_x} (relative tol {RATIO_RTOL:g})"
@@ -202,6 +190,11 @@ def _row(*vals) -> str:
     return ",".join(v if isinstance(v, str) else _g(v) for v in vals)
 
 
+def _output(lines: list, code: int = EXIT_OK) -> tuple:
+    """(text, exit code) of a command: its lines, each ended by a newline."""
+    return "\n".join(lines) + "\n", code
+
+
 def _header(title: str, cfg: RunConfig, keys: tuple, source, fields: tuple) -> list:
     """'# name = value' lines: the config's `keys`, then the attributes `fields` of `source`."""
     lines = [f"# llasym {title}"]
@@ -220,17 +213,17 @@ def _header(title: str, cfg: RunConfig, keys: tuple, source, fields: tuple) -> l
 _SADDLE_FIELDS = ("q", "lambda0", "regime")
 
 
-def cmd_dress(cfg: RunConfig) -> str:
+def cmd_dress(cfg: RunConfig) -> tuple:
     dressed = expansion(cfg).dressed
     nodes = dressed.grid.nodes
     lines = _header("dress", cfg, ("c", "h", "n_nodes"), dressed, ("q", "D", "pF", "vF", "det_IK"))
     lines.append("lambda,p,p_prime,eps,Z")
     for row in zip(nodes, dressed.p(nodes), dressed.p_d1(nodes), dressed.eps(nodes), dressed.Z(nodes)):
         lines.append(_row(*row))
-    return "\n".join(lines) + "\n"
+    return _output(lines)
 
 
-def cmd_saddle(cfg: RunConfig) -> str:
+def cmd_saddle(cfg: RunConfig) -> tuple:
     report = expansion(cfg)
     lam0, regime = report.saddle
     lines = _header("saddle", cfg, ("c", "h", "ratio_t_over_x", "n_nodes"), report, ("q", "vF"))
@@ -238,19 +231,19 @@ def cmd_saddle(cfg: RunConfig) -> str:
     u_d1_residual = abs(float(u_d1(lam0, cfg.ratio_t_over_x, report.dressed)))
     lines.append(_row(lam0, regime, report.u_at_lambda0, u_d1_residual, report.u_dd_at_lambda0,
                       report.u_at_lambda0 - report.pF))
-    return "\n".join(lines) + "\n"
+    return _output(lines)
 
 
-def cmd_exponents(cfg: RunConfig) -> str:
+def cmd_exponents(cfg: RunConfig) -> tuple:
     report = expansion(cfg)
     lines = _header("exponents", cfg, ("c", "h", "ratio_t_over_x", "n_nodes"), report, _SADDLE_FIELDS)
     lines.append("label,nu_at_q,nu_at_minus_q,exponent_plus,exponent_minus")
     for label, nu in report.shift_values.items():
         lines.append(_row(label, nu.at_q, nu.at_minus_q, *report.exponents[label][:2]))
-    return "\n".join(lines) + "\n"
+    return _output(lines)
 
 
-def cmd_amplitudes(cfg: RunConfig) -> str:
+def cmd_amplitudes(cfg: RunConfig) -> tuple:
     report = expansion(cfg)
     keys = ("c", "h", "ratio_t_over_x", "n_nodes", "contour_nodes")
     lines = _header("amplitudes", cfg, keys, report, _SADDLE_FIELDS)
@@ -261,20 +254,20 @@ def cmd_amplitudes(cfg: RunConfig) -> str:
             lines.append(f"{label},UNKNOWN,UNKNOWN,no")
         else:
             lines.append(_row(label, res.value, res.phase_residual, "yes"))
-    return "\n".join(lines) + "\n"
+    return _output(lines)
 
 
-def cmd_harmonics(cfg: RunConfig) -> str:
+def cmd_harmonics(cfg: RunConfig) -> tuple:
     report = expansion(cfg)
     keys = ("c", "h", "ratio_t_over_x", "n_nodes", "max_abs_ell")
     lines = _header("harmonics", cfg, keys, report, _SADDLE_FIELDS)
     lines.append("ell_plus,ell_minus,frequency,exponent,amplitude")
     for e in report.harmonics:
         lines.append(_row(str(e.ell_plus), str(e.ell_minus), e.frequency, e.exponent, "UNKNOWN"))
-    return "\n".join(lines) + "\n"
+    return _output(lines)
 
 
-def cmd_asymptotics(cfg: RunConfig) -> str:
+def cmd_asymptotics(cfg: RunConfig) -> tuple:
     report = expansion(cfg)
     # the header reads the saddle first, so a degenerate saddle on the light
     # cone exits 3 before evaluate_rho can raise LightConeError
@@ -293,7 +286,7 @@ def cmd_asymptotics(cfg: RunConfig) -> str:
         rho = evaluate_rho(report, x, t)
         moduli = (rho.term_moduli.get(label, 0.0) for label in TERMS)
         lines.append(_row(rho.x, rho.t, rho.value.real, rho.value.imag, *moduli))
-    return "\n".join(lines) + "\n"
+    return _output(lines)
 
 
 # ----------------------------------------------------------------------
@@ -473,30 +466,22 @@ def cmd_verify(cfg: RunConfig) -> tuple:
     lines += [line for _, line in results]
     n_fail = sum(1 for ok, _ in results if not ok)
     lines.append(f"# checks = {len(results)}, failures = {n_fail}")
-    return "\n".join(lines) + "\n", (EXIT_OK if n_fail == 0 else EXIT_VERIFY)
+    return _output(lines, EXIT_OK if n_fail == 0 else EXIT_VERIFY)
 
 
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
 
+# subcommand -> (command, help); a command returns (text, exit code)
 _COMMANDS = {
-    "dress": cmd_dress,
-    "saddle": cmd_saddle,
-    "exponents": cmd_exponents,
-    "amplitudes": cmd_amplitudes,
-    "asymptotics": cmd_asymptotics,
-    "harmonics": cmd_harmonics,
-}
-
-_HELP = {
-    "dress": "dressed momentum/energy/charge table and scalar summary",
-    "saddle": "saddle point of u = p - (t/x) eps",
-    "exponents": "critical exponent pairs of the explicit terms",
-    "amplitudes": "term amplitudes with phase residuals",
-    "asymptotics": "full term table and rho(x,t) evaluations",
-    "harmonics": "subleading harmonic frequencies and exponents",
-    "verify": "run the self-check suite (exit 1 on any FAIL)",
+    "dress": (cmd_dress, "dressed momentum/energy/charge table and scalar summary"),
+    "saddle": (cmd_saddle, "saddle point of u = p - (t/x) eps"),
+    "exponents": (cmd_exponents, "critical exponent pairs of the explicit terms"),
+    "amplitudes": (cmd_amplitudes, "term amplitudes with phase residuals"),
+    "asymptotics": (cmd_asymptotics, "full term table and rho(x,t) evaluations"),
+    "harmonics": (cmd_harmonics, "subleading harmonic frequencies and exponents"),
+    "verify": (cmd_verify, "run the self-check suite (exit 1 on any FAIL)"),
 }
 
 
@@ -507,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*_COMMANDS, "verify"):
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (command, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", default=None, help="key=value config file")
         p.add_argument("--out", dest="output_path", metavar="PATH", default=None,
                        help="output file (default stdout)")
@@ -519,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--max-ell", dest="max_abs_ell", metavar="K", type=int, default=None,
                        help="harmonic ladder bound")
-        if name == "verify":
+        if command is cmd_verify:
             p.add_argument(
                 "--perturb",
                 metavar="EPS",
@@ -538,10 +523,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.command == "verify":
-            text, code = cmd_verify(cfg)
-        else:
-            text, code = _COMMANDS[args.command](cfg), EXIT_OK
+        text, code = _COMMANDS[args.command][0](cfg)
     except SADDLE_ERRORS as exc:
         print(f"saddle error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_SADDLE

@@ -54,6 +54,7 @@ from .model import (
 )
 
 
+N_NODES = 96  # Gauss-Legendre nodes of a dressed set
 _POLE_TOL = 1e-10  # |eps(q)|/h above this at the closed bracket is a pole, not a root
 
 
@@ -98,16 +99,22 @@ def _check_strip(z, c: float) -> None:
             )
 
 
+def _ones(lam):
+    """1 in the shape of lam: real for real lam, complex for complex lam."""
+    return np.ones(np.shape(lam), np.result_type(lam, 1.0))
+
+
 @dataclass
 class SecondKindSolution:
-    """Node values of f plus the Nystrom extension and its derivatives."""
+    """Node values of f plus the Nystrom extension and its derivatives.
+
+    `drivings` holds g, g', g'' in that order; derivatives past its end are 0.
+    """
 
     grid: QuadGrid
     params: ModelParams
     values: np.ndarray
-    driving: Callable
-    driving_d1: Callable | None = None
-    driving_d2: Callable | None = None
+    drivings: tuple
 
     def weighted_kernel(self, z, order: int = 0) -> np.ndarray:
         """w_k K^(order)(z - lam_k): the matrix the order-th derivative's extension applies.
@@ -122,16 +129,15 @@ class SecondKindSolution:
         return diff
 
     def extend(self, z, order: int = 0, kzw: np.ndarray | None = None):
-        """f^(order)(z) = driving^(order)(z) + (1/2pi) sum_k w_k K^(order)(z - lam_k) f_k.
+        """f^(order)(z) = g^(order)(z) + (1/2pi) sum_k w_k K^(order)(z - lam_k) f_k.
 
-        A missing driving derivative is 0; `kzw` is `weighted_kernel(z, order)`,
-        built here unless the caller already has it.
+        `kzw` is `weighted_kernel(z, order)`, built here unless the caller
+        already has it.
         """
         if kzw is None:
             kzw = self.weighted_kernel(z, order)
         z = np.asarray(z)
-        driving = (self.driving, self.driving_d1, self.driving_d2)[order]
-        g = driving(z) if driving is not None else 0.0
+        g = self.drivings[order](z) if order < len(self.drivings) else 0.0
         out = g + kzw @ self.values / (2.0 * np.pi)
         return out[()] if out.ndim == 0 else out
 
@@ -168,18 +174,14 @@ class NystromOperator:
         if not np.all(np.isfinite(self._lu[0])):  # pragma: no cover - defensive
             raise SingularSystemError("non-finite LU factors")
 
-    def solve(
-        self,
-        driving: Callable,
-        driving_d1: Callable | None = None,
-        driving_d2: Callable | None = None,
-    ) -> SecondKindSolution:
-        rhs = np.asarray(driving(self.grid.nodes))
+    def solve(self, *drivings: Callable) -> SecondKindSolution:
+        """The solution with driving g = drivings[0]; the rest are g', g'', as far as known."""
+        rhs = np.asarray(drivings[0](self.grid.nodes))
         if np.iscomplexobj(rhs):
             vals = lu_solve(self._lu, rhs.real) + 1j * lu_solve(self._lu, rhs.imag)
         else:
             vals = lu_solve(self._lu, rhs)
-        return SecondKindSolution(self.grid, self.params, vals, driving, driving_d1, driving_d2)
+        return SecondKindSolution(self.grid, self.params, vals, drivings)
 
 
 def _eps_at_q(q: float, params: ModelParams, n_nodes: int, operators: dict | None = None) -> float:
@@ -192,7 +194,7 @@ def _eps_at_q(q: float, params: ModelParams, n_nodes: int, operators: dict | Non
     return float(eps(q))
 
 
-def find_fermi_boundary(params: ModelParams, n_nodes: int = 96, operators: dict | None = None) -> float:
+def find_fermi_boundary(params: ModelParams, n_nodes: int, operators: dict | None = None) -> float:
     """q > 0 with eps(q) = 0, by Brent's method on a bracket grown from sqrt(h).
 
     eps(sqrt(h)) < 0 for c > 0; the upper end doubles (at most 12 times) until
@@ -327,8 +329,8 @@ class DressedSet:
             pr = self.params
             sol = self.op.solve(
                 lambda lam: bare_phase(lam - mu, pr) / (2.0 * np.pi),
-                driving_d1=lambda lam: lieb_kernel(lam - mu, pr) / (2.0 * np.pi),
-                driving_d2=lambda lam: lieb_kernel_d1(lam - mu, pr) / (2.0 * np.pi),
+                lambda lam: lieb_kernel(lam - mu, pr) / (2.0 * np.pi),
+                lambda lam: lieb_kernel_d1(lam - mu, pr) / (2.0 * np.pi),
             )
             edges = (self.q, -self.q)
             if key not in edges:  # the next lambda0 replaces the last one
@@ -345,25 +347,18 @@ class DressedSet:
         return self._phi_sol(mu).d1(lam)
 
 
-def dress_all(params: ModelParams, n_nodes: int = 96) -> DressedSet:
+def dress_all(params: ModelParams, n_nodes: int = N_NODES) -> DressedSet:
     """Solve the full dressed set at the Fermi boundary fixed by eps(+-q)=0."""
     operators: dict = {}
-    q = find_fermi_boundary(params, n_nodes=n_nodes, operators=operators)
+    q = find_fermi_boundary(params, n_nodes, operators)
     op = operators[q]
     grid = op.grid
-    one = lambda lam: np.ones_like(np.asarray(lam, dtype=float)) if np.isrealobj(np.asarray(lam)) else np.ones_like(np.asarray(lam))
-    p_d1_sol = op.solve(one)
-    eps_sol = op.solve(
-        lambda lam: lam * lam - params.h,
-        driving_d1=lambda lam: 2.0 * lam,
-        driving_d2=lambda lam: 2.0 * np.ones_like(np.asarray(lam)),
-    )
+    p_d1_sol = op.solve(_ones)
+    eps_sol = op.solve(lambda lam: lam * lam - params.h, lambda lam: 2.0 * lam,
+                       lambda lam: 2.0 * _ones(lam))
     # eps' solves the differentiated equation with driving 2 lam; the boundary
     # terms of the integration by parts vanish because eps(+-q) = 0.
-    eps_d1_sol = op.solve(
-        lambda lam: 2.0 * lam,
-        driving_d1=lambda lam: 2.0 * np.ones_like(np.asarray(lam)),
-    )
+    eps_d1_sol = op.solve(lambda lam: 2.0 * lam, lambda lam: 2.0 * _ones(lam))
     det_IK = float(np.linalg.det(op.matrix))
     return DressedSet(params, q, grid, op, p_d1_sol, eps_sol, eps_d1_sol, det_IK)
 

@@ -13,8 +13,8 @@ The three combinations entering the explicit asymptotic terms are built by
     minus_q : -Z/2 - phi(., -q)       (particle at -q, hole at q)
     saddle  : -Z/2 - phi(., lam0)     (particle at lam0, hole at q)
 
-(the hole at q implicit in these combinations is *not* added by
-`shift_function`; callers build custom excitations from the literal sets).
+(the hole at q implicit in these combinations is *not* added by `ShiftFn`;
+callers build custom excitations from the literal sets).
 
 Critical exponents are squares of boundary values of shift functions.  The
 harmonic ledger carries, for each pair of integers (l+, l-) subject to
@@ -70,17 +70,10 @@ def active_terms(regime: str) -> dict:
             if label != "saddle" or regime == SPACE_LIKE}
 
 
-@dataclass(frozen=True)
-class Excitation:
-    """Particle rapidities (anywhere in the strip) and hole rapidities (in [-q, q])."""
-
-    particles: tuple
-    holes: tuple
-
-
 @dataclass
 class ShiftFn:
-    """nu(lam) = -Z/2 - sum phi(lam, z+) + sum phi(lam, z-), with derivatives.
+    """nu(lam) = -Z/2 - sum phi(lam, z+) + sum phi(lam, z-), with derivatives, for
+    particles z+ (anywhere in the strip) and holes z- (in [-q, q]).
 
     Each evaluation builds one weighted kernel matrix at lam and extends Z and
     every phi(., z) from it (`DressedSet.charge_phases`).  nu on the dressed
@@ -88,22 +81,22 @@ class ShiftFn:
     the shift is called with `dressed.grid.nodes` itself.
     """
 
-    excitation: Excitation
     dressed: DressedSet
+    particles: tuple
+    holes: tuple
 
     def __post_init__(self) -> None:
         q = self.dressed.q
-        for z in self.excitation.holes:
+        for z in self.holes:
             if not (-q - 1e-12 <= z <= q + 1e-12):
                 raise ValueError(f"hole rapidity {z} outside [-q, q] = [{-q}, {q}]")
 
     def _combine(self, lam, order: int):
-        particles, holes = self.excitation.particles, self.excitation.holes
-        charge, phases = self.dressed.charge_phases(lam, (*particles, *holes), order)
+        charge, phases = self.dressed.charge_phases(lam, (*self.particles, *self.holes), order)
         out = -0.5 * charge
-        for phase in phases[:len(particles)]:
+        for phase in phases[:len(self.particles)]:
             out = out - phase
-        for phase in phases[len(particles):]:
+        for phase in phases[len(self.particles):]:
             out = out + phase
         return out
 
@@ -130,11 +123,6 @@ class ShiftFn:
         return float(self(-self.dressed.q))
 
 
-def shift_function(excitation: Excitation, dressed: DressedSet) -> ShiftFn:
-    """Shift function for the literal particle/hole sets (no implicit q-hole)."""
-    return ShiftFn(excitation=excitation, dressed=dressed)
-
-
 def special_shift(kind: str, dressed: DressedSet, lambda0: float | None = None) -> ShiftFn:
     """The three shift functions of the explicit asymptotic terms."""
     if kind == "empty":
@@ -147,7 +135,7 @@ def special_shift(kind: str, dressed: DressedSet, lambda0: float | None = None) 
         zp = (float(lambda0),)
     else:
         raise ValueError(f"unknown shift kind {kind!r}")
-    return ShiftFn(excitation=Excitation(zp, ()), dressed=dressed)
+    return ShiftFn(dressed, zp, ())
 
 
 # ----------------------------------------------------------------------
@@ -240,12 +228,6 @@ def find_saddle(ratio_t_over_x: float, dressed: DressedSet, n_scan: int = 4001):
     return float(lam0), regime
 
 
-def critical_exponent_pair(nu, plus_offset: float, minus_offset: float):
-    """([nu(q) + plus_offset]^2, [nu(-q) + minus_offset]^2) of a ShiftFn or
-    ShiftValues: the powers of (x - vF t) and (x + vF t)."""
-    return (nu.at_q + plus_offset) ** 2, (nu.at_minus_q + minus_offset) ** 2
-
-
 # ----------------------------------------------------------------------
 # harmonic ledger
 # ----------------------------------------------------------------------
@@ -272,9 +254,9 @@ def ledger_shifts(pairs, dressed: DressedSet, lambda0: float) -> list[ShiftValue
 def ledger_exponents(nu, pair) -> tuple:
     """(1 + l+ + D+)^2, (D- - l-)^2 and |l+ + l-|/2: the powers of (x - vF t),
     (x + vF t) and x of the pair (l+, l-) whose shift takes the values D+- =
-    (nu.at_q, nu.at_minus_q)."""
+    (nu.at_q, nu.at_minus_q) of a ShiftFn or ShiftValues."""
     lp, lm = pair
-    return (*critical_exponent_pair(nu, 1 + lp, -lm), 0.5 * abs(lp + lm))
+    return (nu.at_q + (1 + lp)) ** 2, (nu.at_minus_q + (-lm)) ** 2, 0.5 * abs(lp + lm)
 
 
 @dataclass(frozen=True)

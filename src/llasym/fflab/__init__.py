@@ -23,9 +23,9 @@ from .discrete import (
     xn_bruteforce,
     xn_determinant,
 )
-from .singsum import ContourPlacementError, SingularSumResult, singular_sum  # noqa: E402
-from .minor import ContourResonanceError, fredholm_minor_limit, minor_instance  # noqa: E402
-from .lagrange import (  # noqa: E402
+from .singsum import ContourPlacementError, SingularSumResult, singular_sum
+from .minor import ContourResonanceError, fredholm_minor_limit, minor_instance
+from .lagrange import (
     ContractionError,
     FixedPointError,
     lagrange_closed_form,

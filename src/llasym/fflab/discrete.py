@@ -25,17 +25,6 @@ import numpy as np
 
 from .instances import FFLabInstance
 
-__all__ = [
-    "CoincidentRapidityError",
-    "EnumerationSizeError",
-    "SingularMatrixError",
-    "dhat_N",
-    "integrable_resummation",
-    "nu_zero_limit",
-    "xn_bruteforce",
-    "xn_determinant",
-]
-
 _MAX_WINDOW = 15
 _MAX_TERMS = 1_000_000
 

@@ -14,14 +14,6 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = [
-    "AffineCounting",
-    "NuFunction",
-    "QuadraticPhase",
-    "FFLabInstance",
-    "standard_matrix",
-]
-
 
 @dataclass(frozen=True)
 class AffineCounting:

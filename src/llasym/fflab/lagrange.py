@@ -15,13 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "ContractionError",
-    "FixedPointError",
-    "lagrange_closed_form",
-    "lagrange_series",
-]
-
 _N_SAMPLE = 48  # points per circle of the torus where |phi_j| < r_j is checked
 _FIXED_POINT_TOL = 1e-14  # step size at which the fixed-point iteration has converged
 

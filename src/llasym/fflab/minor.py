@@ -26,12 +26,6 @@ from .discrete import integrable_resummation
 from .instances import AffineCounting, FFLabInstance, NuFunction, QuadraticPhase
 from .singsum import descending_nodes
 
-__all__ = [
-    "ContourResonanceError",
-    "fredholm_minor_limit",
-    "minor_instance",
-]
-
 _Q = np.pi  # interval edge: minor_instance's counting function z/2pi + 1/2 fills (-pi, pi)
 _HEIGHT = 0.75  # half-height of the descending contour
 _RESONANCE_TOL = 1e-8  # pole guard of the weight 1/(e^{-2 i pi nu} - 1) on the interval

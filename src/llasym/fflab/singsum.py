@@ -27,14 +27,6 @@ import numpy as np
 from ..dressing import legendre_rule
 from .instances import FFLabInstance
 
-__all__ = [
-    "ContourPlacementError",
-    "SingularSumResult",
-    "descending_nodes",
-    "polyline_nodes",
-    "singular_sum",
-]
-
 _MAX_PANEL = 0.2  # longest panel of the composite Gauss-Legendre rule on a polyline leg
 _N_GAUSS = 16  # nodes per panel
 _HEIGHT = 1.5  # half-height of the contours around the window

@@ -94,6 +94,20 @@ def test_contour_node_doubling(dressed_11):
         assert b[kind].value == pytest.approx(a[kind].value, rel=1e-8), kind
 
 
+def test_saddle_amplitude_only_where_active(dressed_11):
+    # in the time-like regime the saddle vicinity belongs to the (-1, 0)
+    # harmonic: there is no saddle amplitude to assemble
+    lam0, regime = find_saddle(2.0, dressed_11)
+    assert regime == "time-like"
+    with pytest.raises(ValueError, match="space-like"):
+        amplitude("saddle", dressed_11, lam0, regime)
+    lam0, regime = find_saddle(RATIO, dressed_11)
+    with pytest.raises(ValueError, match="space-like"):
+        amplitude("saddle", dressed_11, lam0)  # no regime given
+    with pytest.raises(ValueError, match="lambda0"):
+        amplitude("saddle", dressed_11, regime=regime)
+
+
 def test_contour_validation(dressed_11):
     q, c = dressed_11.q, dressed_11.params.c
     with pytest.raises(ValueError):

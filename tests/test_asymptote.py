@@ -9,7 +9,6 @@ from llasym import (
     ModelParams,
     amplitude,
     assemble_expansion,
-    critical_exponent_pair,
     default_contour,
     dress_all,
     evaluate_rho,
@@ -18,7 +17,14 @@ from llasym import (
 from llasym import asymptote
 from llasym.asymptote import TERMS, ExpansionReport, LightConeError, RatioMismatchError
 from llasym.cli import RunConfig, cmd_exponents, cmd_harmonics, cmd_saddle
-from llasym.excitations import SPACE_LIKE, TIME_LIKE, active_terms, harmonic_table, u_combination
+from llasym.excitations import (
+    SPACE_LIKE,
+    TIME_LIKE,
+    active_terms,
+    harmonic_table,
+    ledger_exponents,
+    u_combination,
+)
 
 RATIO = 0.2
 
@@ -49,12 +55,12 @@ def test_term_table_cross_module_consistency(report_space, dressed_11):
     nu_sad = special_shift("saddle", d, lam0)
     nu_mq = special_shift("minus_q", d)
     nu_ee = special_shift("empty", d)
-    for label, nu, offs in (
-        ("saddle", nu_sad, (0.0, 0.0)),
-        ("two_pF", nu_mq, (0.0, -1.0)),
-        ("zero_freq", nu_ee, (1.0, 0.0)),
+    for label, nu, pair in (  # offsets (1 + l+, -l-): (0, 0), (0, -1), (1, 0)
+        ("saddle", nu_sad, (-1, 0)),
+        ("two_pF", nu_mq, (-1, 1)),
+        ("zero_freq", nu_ee, (0, 0)),
     ):
-        ep, em = critical_exponent_pair(nu, *offs)
+        ep, em, _ = ledger_exponents(nu, pair)
         assert terms[label].exponent_plus == pytest.approx(ep, rel=1e-12), label
         assert terms[label].exponent_minus == pytest.approx(em, rel=1e-12), label
 
@@ -87,7 +93,7 @@ def test_each_explicit_term_is_its_ledger_row(request, fixture, ratio_times_vF):
         row = rows[label]
         assert (row.ell_plus, row.ell_minus) == (lp, lm)
         assert _bits(row.exponent_plus, row.exponent_minus) == _bits(
-            *critical_exponent_pair(nu, 1 + lp, -lm)), label
+            *ledger_exponents(nu, (lp, lm))[:2]), label
         assert _bits(row.extra_power) == _bits(abs(lp + lm) / 2), label
         assert _bits(*report.shift_values[label]) == _bits(nu.at_q, nu.at_minus_q), label
 
@@ -159,6 +165,12 @@ def test_evaluate_rho_guards(report_space, dressed_11):
         evaluate_rho(report_space, 10.0, 2.1)
     with pytest.raises(ValueError):
         evaluate_rho(report_space, -5.0, -1.0)
+    # a NaN or infinite coordinate is off every ray
+    with pytest.raises(RatioMismatchError):
+        evaluate_rho(report_space, 40.0, float("nan"))
+    for x in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            evaluate_rho(report_space, x, x)
     # the guard fires before the report's (degenerate) saddle is ever searched
     cone = ExpansionReport(dressed_11, 1.0 / dressed_11.vF)
     with pytest.raises(LightConeError):
@@ -177,7 +189,7 @@ def test_stages_before_amplitudes_never_assemble_one(monkeypatch, dressed_11):
         report.terms
     cfg = RunConfig(n_nodes=48, contour_nodes=64)
     for cmd in (cmd_exponents, cmd_saddle, cmd_harmonics):
-        assert cmd(cfg).startswith(f"# llasym {cmd.__name__[4:]}\n")
+        assert cmd(cfg)[0].startswith(f"# llasym {cmd.__name__[4:]}\n")
 
 
 @given(s=st.floats(0.6, 1.8))

@@ -76,6 +76,12 @@ def test_out_writes_file_and_keeps_stdout_empty(tmp_path):
     (["ratio_t_over_x = 0.5", "eval_points = 10:2"], "inconsistent"),
     # off the ray by 2.5e-12 relative: for t/x < 1 evaluate_rho would reject it
     (["ratio_t_over_x = 0.02", "eval_points = 100.0:2.00000000005"], "inconsistent"),
+    # non-finite values: a NaN fails every comparison, so each test is written to reject it
+    (["eval_points = 40:nan"], "inconsistent"),
+    (["eval_points = inf:inf"], "finite x > 0"),
+    (["c = inf"], "need c > 0 and finite"),
+    (["h = nan"], "need h > 0 and finite"),
+    (["ratio_t_over_x = inf"], "need ratio_t_over_x > 0 and finite"),
 ])
 def test_config_errors_exit_2(tmp_path, lines, fragment):
     cfg = tmp_path / "bad.cfg"
@@ -122,6 +128,14 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: cannot write {target}")
+
+
+def test_help_lists_each_command_once(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    words = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.strip()]
+    for name in ("dress", "saddle", "exponents", "amplitudes", "asymptotics", "harmonics", "verify"):
+        assert words.count(name) == 1, name
 
 
 def _verify_body(stdout: str) -> list:

@@ -185,7 +185,7 @@ def test_fermi_boundary_rejects_a_pole_of_the_discretised_eps():
 def test_fermi_boundary_bracket_failures_are_bounded(monkeypatch, eps_at_q, fragment):
     calls = _count_eps_calls(monkeypatch, eps_at_q)
     with pytest.raises(BracketFailureError, match=fragment):
-        find_fermi_boundary(P11)
+        find_fermi_boundary(P11, dressing.N_NODES)
     assert len(calls) <= 1 + 12 + 100  # sqrt(h), growth steps, Brent steps
 
 

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from llasym import ModelParams, dress_all, special_shift
+from llasym import ModelParams, dress_all, excitations, special_shift
 from llasym.amplitudes import default_contour
 from llasym.excitations import (
     SPACE_LIKE,
     TIME_LIKE,
     DegenerateSaddleError,
-    Excitation,
-    critical_exponent_pair,
+    ShiftFn,
     find_saddle,
     harmonic_table,
-    shift_function,
+    ledger_exponents,
     u_combination,
     u_d1,
     u_d2,
@@ -48,12 +47,11 @@ def test_shift_function_literal_combination(dressed_11):
     d = dressed_11
     q = d.q
     lam = 0.3
-    exc = Excitation(particles=(1.7 * q,), holes=(0.4 * q,))
-    f = shift_function(exc, d)
+    f = ShiftFn(d, particles=(1.7 * q,), holes=(0.4 * q,))
     direct = -0.5 * float(d.Z(lam)) - float(d.phi(lam, 1.7 * q)) + float(d.phi(lam, 0.4 * q))
     assert float(f(lam)) == pytest.approx(direct, abs=1e-14)
     with pytest.raises(ValueError):
-        shift_function(Excitation(particles=(), holes=(2.0 * q,)), d)  # hole outside
+        ShiftFn(d, particles=(), holes=(2.0 * q,))  # hole outside
 
 
 def test_special_shift_needs_lambda0(dressed_11):
@@ -98,6 +96,17 @@ def test_saddle_requires_positive_ratio(dressed_11):
         find_saddle(-0.5, dressed_11)
 
 
+def test_saddle_bisection_fallback(monkeypatch, dressed_11):
+    """With u'' scaled by 1e-3, Newton's steps overshoot the bracket a
+    thousandfold, so the bisection fallback has to find the saddle."""
+    lam0, _ = find_saddle(0.2, dressed_11)
+    u_d2_true = excitations.u_d2
+    monkeypatch.setattr(excitations, "u_d2", lambda lam, r, d: 1e-3 * u_d2_true(lam, r, d))
+    lam0_bisected, regime = find_saddle(0.2, dressed_11)
+    assert regime == SPACE_LIKE
+    assert lam0_bisected == pytest.approx(lam0, rel=1e-12, abs=0.0)
+
+
 def test_u_combination_definition(dressed_11):
     lam = np.array([0.2, 1.1, 2.5])
     r = 0.37
@@ -124,7 +133,7 @@ def test_u_combination_integral_matches_direct(dressed_11):
 
 def test_critical_exponent_pair_formula(dressed_11):
     nu = special_shift("empty", dressed_11)
-    ep, em = critical_exponent_pair(nu, 1.0, 0.0)
+    ep, em, _ = ledger_exponents(nu, (0, 0))  # offsets 1 + l+ = 1 and -l- = 0
     assert ep == pytest.approx((nu.at_q + 1.0) ** 2, rel=1e-14)
     assert em == pytest.approx(nu.at_minus_q**2, rel=1e-14)
 
@@ -220,7 +229,7 @@ def _shifts(d):
     lam0, _ = find_saddle(0.2, d)
     return [special_shift("empty", d), special_shift("minus_q", d),
             special_shift("saddle", d, lam0),
-            shift_function(Excitation(particles=(1.7 * d.q,), holes=(0.4 * d.q,)), d)]
+            ShiftFn(d, particles=(1.7 * d.q,), holes=(0.4 * d.q,))]
 
 
 @pytest.mark.parametrize("fixture", ["dressed_11", "dressed_41"])
@@ -232,13 +241,12 @@ def test_shift_function_shares_one_kernel_matrix_bit_for_bit(request, fixture):
     points = (d.grid.nodes, np.array(d.grid.nodes), np.linspace(-3.0 * d.q, 3.0 * d.q, 37),
               0.37 * d.q, d.q, contour)
     for nu in _shifts(d):
-        ex = nu.excitation
         for lam in points:
             for got, charge, phase in ((nu(lam), d.Z, d.phi), (nu.d1(lam), d.Z_d1, d.phi_d1)):
                 ref = -0.5 * charge(lam)
-                for z in ex.particles:
+                for z in nu.particles:
                     ref = ref - phase(lam, z)
-                for z in ex.holes:
+                for z in nu.holes:
                     ref = ref + phase(lam, z)
                 assert np.asarray(got).dtype == np.asarray(ref).dtype
                 assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()

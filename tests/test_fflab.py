@@ -245,6 +245,19 @@ def test_singular_sum_exact_closure(r):
         assert abs(res.remainder_closure - res.remainder_quadrature) < 1e-10
 
 
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_singular_sum_straight_main_contour(r):
+    # tau = 0.04 puts the knee 1/(2 tau) = 12.5 right of the window's right
+    # edge (9.58), so the main contour runs straight above the axis
+    base = singular_sum_instance(40)
+    inst = FFLabInstance(N=base.N, L=base.L, w=base.w, xi=base.xi, nu=base.nu,
+                         phase=QuadraticPhase(x=2.0, tau=0.04))
+    assert inst.phase.knee > inst.xi.inverse((inst.w + 0.5) / inst.L)
+    for lam in SS_LAMBDAS:
+        res = singular_sum(inst, r, lam)
+        assert res.residual < 1e-8, (r, lam, res.residual)
+
+
 def test_singular_sum_s2_is_derivative_of_s1():
     inst = singular_sum_instance(40)
     lam = SS_LAMBDAS[2]
