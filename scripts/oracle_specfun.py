@@ -18,7 +18,7 @@ import numpy as np
 
 sys.path.insert(0, "src")
 from llasym.dressing import QuadGrid
-from llasym.specfun import barnes_g_log, c0_double_integral, cauchy_transform, kappa
+from llasym.specfun import barnes_g_log, c0_double_integral, cauchy_transform, log_kappa
 
 mp.mp.dps = 40
 
@@ -64,7 +64,7 @@ class _Id:
 
 
 grid = QuadGrid.build(96, 1.0)
-got = kappa(_Id(), 0.0, grid)
+got = np.exp(log_kappa(_Id(), 0.0, grid))
 print(f"  numeric = {got}   e^-2 = {np.exp(-2.0):.15f}")
 
 print("\n== impenetrable-limit constant:  q pi G(1/2)^4 / sqrt(2q)  vs  sqrt(q) e^{1/2} 2^{-1/3} A^-6 ==")

@@ -182,40 +182,35 @@ def fredholm_det_contour(prefactor: np.ndarray, kernel_matrix: np.ndarray, weigh
 def smooth_part_G(
     nu: ShiftFn,
     dressed: DressedSet,
-    particles: tuple,
-    holes: tuple,
+    pair: tuple | None,
     contour: ContourSpec,
 ) -> complex:
-    """Smooth part G_n for n = len(particles) = len(holes) in {0, 1}.
+    """Smooth part G_0 (pair None) or G_1 (pair = (mu_p, mu_h): one particle, one hole).
 
-    G_n = e^{-2 i pi sum_e C[nu](q + e ic)}
-          prod_{a, e} (mu_ha - q + e ic)/(mu_pa - q + e ic)
-                      e^{2 i pi (C[nu](mu_ha + e ic) - C[nu](mu_pa + e ic))}
-          e^{C0[nu]}
-          prod_{a,b} (mu_pa - mu_hb - ic)(mu_ha - mu_pb - ic)
-                   / [(mu_pa - mu_pb - ic)(mu_ha - mu_hb - ic)]
-          det(I + V) det(I + Vbar) / det^2(I - K/2pi),
+    G = e^{-2 i pi sum_e C[nu](q + e ic)}
+        [prod_e (mu_h - q + e ic)/(mu_p - q + e ic)
+                e^{2 i pi (C[nu](mu_h + e ic) - C[nu](mu_p + e ic))}]
+        e^{C0[nu]}
+        [(mu_p - mu_h - ic)(mu_h - mu_p - ic) / ((mu_p - mu_p - ic)(mu_h - mu_h - ic))]
+        det(I + V) det(I + Vbar) / det^2(I - K/2pi),
 
-    with kernels (measure dw on the contour)
+    the bracketed factors present for a pair only, with kernels (measure dw on
+    the contour)
 
-    V(w,w')   = -1/2pi (w-q)/(w-q+ic) prod_a (w-mu_pa)(w-mu_ha+ic)/[(w-mu_ha)(w-mu_pa+ic)]
+    V(w,w')   = -1/2pi (w-q)/(w-q+ic) [(w-mu_p)(w-mu_h+ic)/((w-mu_h)(w-mu_p+ic))]
                 e^{C[2 i pi nu](w) - C[2 i pi nu](w+ic)} K(w-w') / (e^{-2 i pi nu(w)} - 1),
-    Vbar(w,w')= +1/2pi (w-q)/(w-q-ic) prod_a (w-mu_pa)(w-mu_ha-ic)/[(w-mu_ha)(w-mu_pa-ic)]
+    Vbar(w,w')= +1/2pi (w-q)/(w-q-ic) [(w-mu_p)(w-mu_h-ic)/((w-mu_h)(w-mu_p-ic))]
                 e^{C[2 i pi nu](w) - C[2 i pi nu](w-ic)} K(w-w') / (e^{+2 i pi nu(w)} - 1).
 
-    Holes must lie inside the contour; particles need not be enclosed.
+    The hole must lie inside the contour; the particle need not be enclosed.
     """
-    n = len(particles)
-    if len(holes) != n:
-        raise ValueError("particles and holes must pair up")
-    if n not in (0, 1):
-        raise ValueError(f"smooth part implemented for n in {{0, 1}}, got n = {n}")
     params = dressed.params
     q, c = dressed.q, params.c
     contour.validate(q, c)
-    for h in holes:
-        if abs(h) > q + 1e-12:
-            raise ValueError(f"hole {h} outside [-q, q]")
+    if pair is not None:
+        mp, mh = pair
+        if abs(mh) > q + 1e-12:
+            raise ValueError(f"hole {mh} outside [-q, q]")
 
     grid = dressed.grid
     nu_grid = np.asarray(nu(grid.nodes), dtype=float)
@@ -225,20 +220,16 @@ def smooth_part_G(
         return cauchy_segment(nu_grid, grid, z) / (2j * np.pi)
 
     log_pref = -2j * np.pi * np.sum(c_transform(np.array([q + 1j * c, q - 1j * c])))
-    for mp, mh in zip(particles, holes):
+    if pair is not None:
         for eps in (+1.0, -1.0):
             log_pref += np.log((mh - q + eps * 1j * c) / (mp - q + eps * 1j * c))
             log_pref += 2j * np.pi * (
                 c_transform(mh + eps * 1j * c) - c_transform(mp + eps * 1j * c)
             )[0]
     log_pref += c0_double_integral(nu, grid, c)
-    for a in range(n):
-        for b in range(n):
-            log_pref += np.log(
-                (particles[a] - holes[b] - 1j * c)
-                * (holes[a] - particles[b] - 1j * c)
-                / ((particles[a] - particles[b] - 1j * c) * (holes[a] - holes[b] - 1j * c))
-            )
+    if pair is not None:
+        log_pref += np.log((mp - mh - 1j * c) * (mh - mp - 1j * c)
+                           / ((mp - mp - 1j * c) * (mh - mh - 1j * c)))
 
     # Fredholm determinants on the contour
     omega, w = contour.nodes_weights()
@@ -258,7 +249,7 @@ def smooth_part_G(
     for eps, c2_shift, res in ((+1.0, c2_up, res_m), (-1.0, c2_dn, res_p)):  # V, then Vbar
         ic = eps * 1j * c
         rat = np.ones_like(omega)
-        for mp, mh in zip(particles, holes):
+        if pair is not None:
             rat = rat * (omega - mp) * (omega - mh + ic) / ((omega - mh) * (omega - mp + ic))
         pre = (-eps / (2.0 * np.pi)) * (omega - q) / (omega - q + ic) * rat \
             * np.exp(c2_omega - c2_shift) / res
@@ -322,13 +313,13 @@ def amplitude(
     lk_q, lk_mq = log_kappa(nu, q, dressed.grid), log_kappa(nu, -q, dressed.grid)
     if kind == "empty":
         a_fac = functional_Aplus(nu, dressed, lk_q)
-        g_fac = smooth_part_G(nu, dressed, (), (), contour)
+        g_fac = smooth_part_G(nu, dressed, None, contour)
     elif kind == "minus_q":
         a_fac = functional_Aminus(nu, dressed, lk_mq)
-        g_fac = smooth_part_G(nu, dressed, (-q,), (q,), contour)
+        g_fac = smooth_part_G(nu, dressed, (-q, q), contour)
     else:
         a_fac = functional_A0(nu, dressed, lambda0)
-        g_fac = smooth_part_G(nu, dressed, (float(lambda0),), (q,), contour)
+        g_fac = smooth_part_G(nu, dressed, (float(lambda0), q), contour)
         pre = np.exp(0.25j * np.pi) / (2.0 * np.pi * float(dressed.p_d1(lambda0)))
 
     e_plus, e_minus, _ = ledger_exponents(nu, dict(TERMS.values())[kind])  # the kind's pair

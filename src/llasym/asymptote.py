@@ -54,6 +54,10 @@ class RatioMismatchError(ValueError):
     """Evaluation point (x, t) inconsistent with the ratio the expansion was built at."""
 
 
+class RhoOverflowError(ValueError):
+    """A term of rho(x, t), or their sum, overflows at the evaluation point (tiny x)."""
+
+
 @dataclass
 class ExpansionReport:
     """The expansion at one ratio t/x, computed stage by stage on first use.
@@ -193,7 +197,7 @@ def evaluate_rho(report: ExpansionReport, x: float, t: float) -> RhoValue:
             f"t/x = {ratio} but the expansion was assembled at {report.ratio_t_over_x}"
         )
     vF = report.vF
-    if abs(x - vF * t) < 1e-9 * x:
+    if not (abs(x - vF * t) > 1e-9 * x):  # an underflow to 0 fails it too
         raise LightConeError(f"(x, t) = ({x}, {t}) within 1e-9 x of the light cone")
 
     # principal branch.  The logs stay on numpy: for 0.5 < |z| < 2 its complex
@@ -204,25 +208,30 @@ def evaluate_rho(report: ExpansionReport, x: float, t: float) -> RhoValue:
 
     total = 0.0 + 0.0j
     moduli: dict = {}
-    for term in report.terms:
-        if not term.active:
-            continue
-        decay = cmath.exp(
-            -term.exponent_minus * log_plus - term.exponent_plus * log_minus
-        )
-        osc = cmath.exp(1j * x * term.frequency)
-        if term.label == "saddle":
-            # sqrt(-2 i pi / (t eps'' - x p'')) = e^{-i pi/4} sqrt(2 pi / (-x u'')),
-            # with u'' < 0 at the saddle (find_saddle) and x > 0
-            curv = -x * report.u_dd_at_lambda0
-            pref = (
-                cmath.exp(-0.25j * math.pi)
-                * math.sqrt(2.0 * math.pi / curv)
-                * report.p_d1_at_lambda0
+    try:
+        for term in report.terms:
+            if not term.active:
+                continue
+            decay = cmath.exp(
+                -term.exponent_minus * log_plus - term.exponent_plus * log_minus
             )
-        else:
-            pref = 1.0
-        contrib = pref * osc * term.amplitude * decay
-        total += contrib
-        moduli[term.label] = float(abs(contrib))
+            osc = cmath.exp(1j * x * term.frequency)
+            if term.label == "saddle":
+                # sqrt(-2 i pi / (t eps'' - x p'')) = e^{-i pi/4} sqrt(2 pi / (-x u'')),
+                # with u'' < 0 at the saddle (find_saddle) and x > 0
+                curv = -x * report.u_dd_at_lambda0
+                pref = (
+                    cmath.exp(-0.25j * math.pi)
+                    * math.sqrt(2.0 * math.pi / curv)
+                    * report.p_d1_at_lambda0
+                )
+            else:
+                pref = 1.0
+            contrib = pref * osc * term.amplitude * decay
+            total += contrib
+            moduli[term.label] = float(abs(contrib))
+    except OverflowError as exc:
+        raise RhoOverflowError(f"rho overflows at (x, t) = ({x}, {t}): {exc}") from None
+    if not cmath.isfinite(total):
+        raise RhoOverflowError(f"rho is not finite at (x, t) = ({x}, {t}): {total}")
     return RhoValue(x=float(x), t=float(t), value=complex(total), term_moduli=moduli)

@@ -48,7 +48,7 @@ EXIT_SADDLE = 3
 
 SADDLE_ERRORS = (NoSaddleError, MultipleSaddlesError, DegenerateSaddleError)
 # ValueError covers StripError, ResonanceError, NonFiniteAmplitudeError,
-# LightConeError, RatioMismatchError and np.linalg.LinAlgError
+# LightConeError, RatioMismatchError, RhoOverflowError and np.linalg.LinAlgError
 SOLVER_ERRORS = (BracketFailureError, SingularSystemError, ValueError)
 
 

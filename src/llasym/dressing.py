@@ -24,10 +24,10 @@ of the extension are exact derivatives of this formula.
 The matrix w_k K^(order)(z - lam_k) of an extension depends on the grid
 only, so it is built once and shared: `weighted_kernel` fills the
 difference array z - lam_k with the kernel in place (one buffer of the
-result's size; K' needs one more), `DressedSet.p_eps_d` extends p' and eps'
-from one matrix, and `DressedSet.charge_phases` extends Z and every phi(., mu)
-a shift function needs from one.  Sharing never changes a bit: each
-extension applies the same matrix it would have built itself.
+result's size; K' needs one more), and `DressedSet.extend` extends several
+solutions from one matrix (p' and eps' for u' and u'', Z and the phi(., mu)
+of a shift function).  Sharing never changes a bit: each extension applies
+the same matrix it would have built itself.
 
 Every Gauss-Legendre rule comes from `legendre_rule`, built once per n and
 scaled by q.  The Fermi boundary q is fixed by eps(+-q) = 0: eps(sqrt(h)) < 0
@@ -116,7 +116,7 @@ class SecondKindSolution:
     values: np.ndarray
     drivings: tuple
 
-    def weighted_kernel(self, z, order: int = 0) -> np.ndarray:
+    def weighted_kernel(self, z, order: int) -> np.ndarray:
         """w_k K^(order)(z - lam_k): the matrix the order-th derivative's extension applies.
 
         It depends on the grid only, so solutions on one grid can share it.
@@ -128,7 +128,7 @@ class SecondKindSolution:
         diff *= self.grid.weights
         return diff
 
-    def extend(self, z, order: int = 0, kzw: np.ndarray | None = None):
+    def extend(self, z, order: int, kzw: np.ndarray | None = None):
         """f^(order)(z) = g^(order)(z) + (1/2pi) sum_k w_k K^(order)(z - lam_k) f_k.
 
         `kzw` is `weighted_kernel(z, order)`, built here unless the caller
@@ -249,17 +249,19 @@ def find_fermi_boundary(params: ModelParams, n_nodes: int, operators: dict | Non
 class DressedSet:
     """Fermi boundary, dressed quantities on the grid, and off-grid evaluators.
 
-    p, eps, Z are the dressed momentum/energy/charge; phi(lam, mu) the dressed
-    phase; vF = eps'(q)/p'(q); pF = p(q) = pi * D; det_IK = det(I - K/2pi).
+    p_d1, eps and eps_d1 are the solutions of p', eps and eps', each callable
+    with `.d1` (and `.d2`) for its derivatives; Z = p_d1 is the dressed charge,
+    p(z) the dressed momentum and phi(lam, mu) the dressed phase.  vF =
+    eps'(q)/p'(q); pF = p(q) = pi * D; det_IK = det(I - K/2pi).
     """
 
     params: ModelParams
     q: float
     grid: QuadGrid
     op: NystromOperator
-    p_d1_sol: SecondKindSolution
-    eps_sol: SecondKindSolution
-    eps_d1_sol: SecondKindSolution
+    p_d1: SecondKindSolution
+    eps: SecondKindSolution
+    eps_d1: SecondKindSolution
     det_IK: float
     pF: float = field(init=False)
     D: float = field(init=False)
@@ -276,26 +278,17 @@ class DressedSet:
         self.D = self.pF / np.pi
         self.vF = float(self.eps_d1(self.q) / self.p_d1(self.q))
 
-    # -- dressed momentum ------------------------------------------------
-    def p_d1(self, z):
-        return self.p_d1_sol(z)
+    @property
+    def Z(self) -> SecondKindSolution:
+        """The dressed charge: Z = p', the same equation (driving 1)."""
+        return self.p_d1
 
-    def p_d2(self, z):
-        return self.p_d1_sol.d1(z)
-
-    def charge_phases(self, z, mus, order: int = 0) -> tuple:
-        """(Z^(order)(z), [phi^(order)(z, mu) for mu in mus]) for order 0 or 1 from
-        one weighted kernel matrix, bit-identical to Z(z) and phi(z, mu) (order 0)
-        or Z_d1(z) and phi_d1(z, mu) (order 1)."""
-        kzw = self.p_d1_sol.weighted_kernel(z, order)
-        return (self.p_d1_sol.extend(z, order, kzw),
-                [self._phi_sol(mu).extend(z, order, kzw) for mu in mus])
-
-    def p_eps_d(self, z, order: int = 1) -> tuple:
-        """(p^(order)(z), eps^(order)(z)) for order 1 or 2 from one weighted kernel
-        matrix, bit-identical to (p_d1(z), eps_d1(z)) and (p_d2(z), eps_d2(z))."""
-        kzw = self.p_d1_sol.weighted_kernel(z, order - 1)
-        return self.p_d1_sol.extend(z, order - 1, kzw), self.eps_d1_sol.extend(z, order - 1, kzw)
+    def extend(self, z, order: int, solutions) -> list:
+        """[s^(order)(z) for s in solutions], the solutions on this set's grid,
+        from one weighted kernel matrix: bit-identical to s(z) (order 0) or
+        s.d1(z) (order 1)."""
+        kzw = self.p_d1.weighted_kernel(z, order)
+        return [s.extend(z, order, kzw) for s in solutions]
 
     def p(self, z):
         """p(z) = int_0^z p'(s) ds (p(0) = 0; p odd since p' is even)."""
@@ -307,22 +300,8 @@ class DressedSet:
             out[i] = 0.5 * zi * np.dot(w, self.p_d1(s))
         return out[0] if np.isscalar(z) or np.ndim(z) == 0 else out
 
-    # -- dressed energy ---------------------------------------------------
-    def eps(self, z):
-        return self.eps_sol(z)
-
-    def eps_d1(self, z):
-        return self.eps_d1_sol(z)
-
-    def eps_d2(self, z):
-        return self.eps_d1_sol.d1(z)
-
-    # -- dressed charge: Z = p' (the same equation, driving 1) ---------------
-    Z = p_d1
-    Z_d1 = p_d2
-
-    # -- dressed phase ------------------------------------------------------
-    def _phi_sol(self, mu) -> SecondKindSolution:
+    def phi_solution(self, mu) -> SecondKindSolution:
+        """The dressed phase phi(., mu): driving theta(lam - mu)/2pi in lam."""
         key = complex(mu)
         sol = self._phi_cache.get(key)
         if sol is None:
@@ -340,11 +319,7 @@ class DressedSet:
 
     def phi(self, lam, mu):
         """phi(lam, mu): solves phi - K phi/2pi = theta(lam - mu)/2pi in lam."""
-        return self._phi_sol(mu)(lam)
-
-    def phi_d1(self, lam, mu):
-        """d/dlam phi(lam, mu)."""
-        return self._phi_sol(mu).d1(lam)
+        return self.phi_solution(mu)(lam)
 
 
 def dress_all(params: ModelParams, n_nodes: int = N_NODES) -> DressedSet:
@@ -352,13 +327,11 @@ def dress_all(params: ModelParams, n_nodes: int = N_NODES) -> DressedSet:
     operators: dict = {}
     q = find_fermi_boundary(params, n_nodes, operators)
     op = operators[q]
-    grid = op.grid
-    p_d1_sol = op.solve(_ones)
-    eps_sol = op.solve(lambda lam: lam * lam - params.h, lambda lam: 2.0 * lam,
-                       lambda lam: 2.0 * _ones(lam))
+    p_d1 = op.solve(_ones)
+    eps = op.solve(lambda lam: lam * lam - params.h, lambda lam: 2.0 * lam,
+                   lambda lam: 2.0 * _ones(lam))
     # eps' solves the differentiated equation with driving 2 lam; the boundary
     # terms of the integration by parts vanish because eps(+-q) = 0.
-    eps_d1_sol = op.solve(lambda lam: 2.0 * lam, lambda lam: 2.0 * _ones(lam))
+    eps_d1 = op.solve(lambda lam: 2.0 * lam, lambda lam: 2.0 * _ones(lam))
     det_IK = float(np.linalg.det(op.matrix))
-    return DressedSet(params, q, grid, op, p_d1_sol, eps_sol, eps_d1_sol, det_IK)
-
+    return DressedSet(params, q, op.grid, op, p_d1, eps, eps_d1, det_IK)

@@ -76,7 +76,7 @@ class ShiftFn:
     particles z+ (anywhere in the strip) and holes z- (in [-q, q]).
 
     Each evaluation builds one weighted kernel matrix at lam and extends Z and
-    every phi(., z) from it (`DressedSet.charge_phases`).  nu on the dressed
+    every phi(., z) from it (`DressedSet.extend`).  nu on the dressed
     set's own grid nodes is computed once and returned, read-only, whenever
     the shift is called with `dressed.grid.nodes` itself.
     """
@@ -92,7 +92,9 @@ class ShiftFn:
                 raise ValueError(f"hole rapidity {z} outside [-q, q] = [{-q}, {q}]")
 
     def _combine(self, lam, order: int):
-        charge, phases = self.dressed.charge_phases(lam, (*self.particles, *self.holes), order)
+        d = self.dressed
+        charge, *phases = d.extend(
+            lam, order, (d.Z, *map(d.phi_solution, (*self.particles, *self.holes))))
         out = -0.5 * charge
         for phase in phases[:len(self.particles)]:
             out = out - phase
@@ -165,13 +167,13 @@ def u_combination(lam, ratio_t_over_x: float, dressed: DressedSet, method: str =
 
 def u_d1(lam, ratio_t_over_x: float, dressed: DressedSet):
     """u'(lam) = p'(lam) - (t/x) eps'(lam), both from one kernel matrix."""
-    p_d1, eps_d1 = dressed.p_eps_d(lam, 1)
+    p_d1, eps_d1 = dressed.extend(lam, 0, (dressed.p_d1, dressed.eps_d1))
     return p_d1 - ratio_t_over_x * eps_d1
 
 
 def u_d2(lam, ratio_t_over_x: float, dressed: DressedSet):
     """u''(lam) = p''(lam) - (t/x) eps''(lam), both from one kernel matrix."""
-    p_d2, eps_d2 = dressed.p_eps_d(lam, 2)
+    p_d2, eps_d2 = dressed.extend(lam, 1, (dressed.p_d1, dressed.eps_d1))
     return p_d2 - ratio_t_over_x * eps_d2
 
 

@@ -35,19 +35,17 @@ class ContourResonanceError(ValueError):
     """exp(-2 i pi nu) hits 1 on the interval, so the kernel weight diverges."""
 
 
-def minor_instance(L: int, nu: NuFunction | None = None,
-                   x: float = 5.0, tau: float = 0.1) -> FFLabInstance:
-    """Finite-size member of the family whose limit is the Fredholm minor.
+def minor_instance(L: int) -> FFLabInstance:
+    """Finite-size member of the family whose limit is the Fredholm minor, at
+    nu = rational(0.1), x = 5 and tau = 0.1.
 
     The counting function fills (-pi, pi) with N = L-1 shifted points;
     the window half-width grows like L^2/8 so the window-boundary
     remainder (which scales like (L/w)^(k-1)) keeps shrinking.
     """
-    if nu is None:
-        nu = NuFunction("rational", 0.1)
     return FFLabInstance(N=int(L) - 1, L=float(L), w=math.ceil(L * L / 8),
                          xi=AffineCounting(1.0 / (2.0 * np.pi), 0.5),
-                         nu=nu, phase=QuadraticPhase(x=x, tau=tau))
+                         nu=NuFunction("rational", 0.1), phase=QuadraticPhase(x=5.0, tau=0.1))
 
 
 def fredholm_minor_limit(nu: NuFunction, phase: QuadraticPhase, *,

@@ -112,21 +112,6 @@ def lieb_kernel_d2(lam, params: ModelParams, out=None):
     return out
 
 
-def bare_p0(lam):
-    """Bare momentum p0(lam) = lam."""
-    return lam
-
-
-def bare_eps0(lam, params: ModelParams):
-    """Bare energy eps0(lam) = lam^2 - h."""
-    return lam * lam - params.h
-
-
 def bare_u0(lam, ratio_t_over_x: float, params: ModelParams):
     """u0(lam) = p0(lam) - (t/x) * eps0(lam) = lam - (t/x)(lam^2 - h)."""
     return lam - ratio_t_over_x * (lam * lam - params.h)
-
-
-def bare_u0_d1(lam, ratio_t_over_x: float):
-    """u0'(lam) = 1 - 2 (t/x) lam; single real zero at lam = x/(2t)."""
-    return 1.0 - 2.0 * ratio_t_over_x * lam

@@ -2,7 +2,7 @@
 
 * log Barnes G via the Taylor series of ln G(1+z) on |z| <= 1/2 plus the
   recurrence G(z+1) = Gamma(z) G(z),
-* the exponential regularisation kappa[nu](lam) = exp{-int (nu(lam)-nu(mu))/(lam-mu) dmu},
+* the log of the regularisation kappa[nu](lam) = exp{-int (nu(lam)-nu(mu))/(lam-mu) dmu},
 * the Cauchy transform C[nu](lam) = (2 i pi)^{-1} int nu(mu)/(mu-lam) dmu,
 * the double integral C0[nu] = -int int nu(lam) nu(mu) (lam - mu - ic)^{-2}.
 
@@ -84,11 +84,6 @@ def log_kappa(nu, lam, grid: QuadGrid) -> complex:
     else:  # nu(grid.nodes) itself: a shift function returns its memoised node values
         quot[:] = (nu_lam - nu(grid.nodes)) / diff
     return complex(-np.dot(grid.weights, quot))
-
-
-def kappa(nu, lam, grid: QuadGrid) -> complex:
-    """kappa[nu](lam) = exp{ -int_{-q}^{q} (nu(lam) - nu(mu)) / (lam - mu) dmu }."""
-    return complex(np.exp(log_kappa(nu, lam, grid)))
 
 
 def cauchy_segment(values_on_grid: np.ndarray, grid: QuadGrid, z) -> np.ndarray:

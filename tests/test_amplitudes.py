@@ -125,8 +125,15 @@ def test_tonks_empty_amplitude_closed_form(dressed_tonks):
 def test_tonks_smooth_part_trivial(dressed_tonks):
     # at c -> infinity the dressed kernel vanishes: G_0 -> 1
     nu = special_shift("empty", dressed_tonks)
-    g0 = smooth_part_G(nu, dressed_tonks, (), (), default_contour(dressed_tonks, 256))
+    g0 = smooth_part_G(nu, dressed_tonks, None, default_contour(dressed_tonks, 256))
     assert abs(g0 - 1.0) < 1e-4
+
+
+def test_smooth_part_rejects_a_hole_outside_the_segment(dressed_11):
+    d = dressed_11
+    nu = special_shift("minus_q", d)
+    with pytest.raises(ValueError, match="outside"):
+        smooth_part_G(nu, d, (-d.q, 1.01 * d.q), default_contour(d))
 
 
 def _edge_log_kappas(nu, d) -> tuple:

@@ -15,7 +15,13 @@ from llasym import (
     special_shift,
 )
 from llasym import asymptote
-from llasym.asymptote import TERMS, ExpansionReport, LightConeError, RatioMismatchError
+from llasym.asymptote import (
+    TERMS,
+    ExpansionReport,
+    LightConeError,
+    RatioMismatchError,
+    RhoOverflowError,
+)
 from llasym.cli import RunConfig, cmd_exponents, cmd_harmonics, cmd_saddle
 from llasym.excitations import (
     SPACE_LIKE,
@@ -175,6 +181,18 @@ def test_evaluate_rho_guards(report_space, dressed_11):
     cone = ExpansionReport(dressed_11, 1.0 / dressed_11.vF)
     with pytest.raises(LightConeError):
         evaluate_rho(cone, 1.0, 1.0 / dressed_11.vF)
+
+
+@pytest.mark.parametrize("x, error", [
+    # the powers of x -+ vF t overflow a float
+    (1e-100, RhoOverflowError),
+    # x - vF t underflows to 0, and so does 1e-9 x: no longer 0 < 0, it is on the cone
+    (1e-323, LightConeError),
+])
+def test_rho_at_tiny_x_raises(dressed_11, x, error):
+    report = assemble_expansion(dressed_11, 0.5)
+    with pytest.raises(error):
+        evaluate_rho(report, x, 0.5 * x)
 
 
 def test_stages_before_amplitudes_never_assemble_one(monkeypatch, dressed_11):

@@ -113,6 +113,18 @@ def test_non_finite_amplitude_exit_2(tmp_path, cmd):
     assert "NonFiniteAmplitudeError" in res.stderr
 
 
+@pytest.mark.parametrize("point", ["1e-100:5e-101", "1e-323:5e-324"])
+def test_tiny_x_exits_2(tmp_path, point):
+    # rho's powers overflow at 1e-100; at 1e-323 x - vF t underflows onto the light cone
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(f"ratio_t_over_x = 0.5\neval_points = {point}\n")
+    res = run_cli("asymptotics", "--config", str(cfg))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error (")
+    assert "Traceback" not in res.stderr
+
+
 def test_no_file_written_on_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("c = -2.0\n")

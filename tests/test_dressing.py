@@ -14,7 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from llasym import ModelParams, amplitude, assemble_expansion, dress_all, dressing
+from llasym import (
+    ModelParams,
+    amplitude,
+    assemble_expansion,
+    default_contour,
+    dress_all,
+    dressing,
+)
 from llasym.cli import main
 from llasym.dressing import BracketFailureError, QuadGrid, find_fermi_boundary, legendre_rule
 from llasym.model import StripError, lieb_kernel
@@ -241,12 +248,26 @@ def test_phi_cache_keeps_the_boundary_solves_and_the_latest_saddle(dressed_11):
         assert all(d._phi_cache[key] is sol for key, sol in boundary.items())
 
 
+@pytest.mark.parametrize("order", [0, 1])
+def test_extend_shares_one_kernel_matrix_bit_for_bit(dressed_11, order):
+    d = replace(dressed_11)  # its phi cache stays its own
+    solutions = (d.Z, d.eps_d1, d.phi_solution(1.7 * d.q))
+    contour = default_contour(d).nodes_weights()[0]
+    for z in (0.37 * d.q, d.grid.nodes, contour):
+        got = d.extend(z, order, solutions)
+        assert len(got) == len(solutions)
+        for value, sol in zip(got, solutions):
+            ref = sol(z) if order == 0 else sol.d1(z)
+            assert np.asarray(value).dtype == np.asarray(ref).dtype
+            assert np.asarray(value).tobytes() == np.asarray(ref).tobytes()
+
+
 @pytest.mark.parametrize("order, bound", [(0, 1.1), (1, 2.1)])
 def test_weighted_kernel_fills_one_buffer(dressed_11, order, bound):
     # the 4001-point saddle scan: the difference array becomes the result, and
     # K' needs one more array of that size for its denominator
     z = np.linspace(-6.0, 6.0, 4001)
-    sol = dressed_11.p_d1_sol
+    sol = dressed_11.p_d1
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

@@ -221,7 +221,7 @@ def test_u_derivatives_share_one_kernel_matrix_bit_for_bit(request, fixture, rat
         assert np.asarray(u_d1(lam, ratio, d)).tobytes() == np.asarray(
             d.p_d1(lam) - ratio * d.eps_d1(lam)).tobytes()
         assert np.asarray(u_d2(lam, ratio, d)).tobytes() == np.asarray(
-            d.p_d2(lam) - ratio * d.eps_d2(lam)).tobytes()
+            d.p_d1.d1(lam) - ratio * d.eps_d1.d1(lam)).tobytes()
 
 
 def _shifts(d):
@@ -235,14 +235,16 @@ def _shifts(d):
 @pytest.mark.parametrize("fixture", ["dressed_11", "dressed_41"])
 def test_shift_function_shares_one_kernel_matrix_bit_for_bit(request, fixture):
     """nu and nu' from one weighted kernel equal -Z/2 - sum phi(., z+) + sum phi(., z-)
-    built from the dressed set's methods, each with its own kernel."""
+    built from the dressed set's solutions, each with its own kernel."""
     d = request.getfixturevalue(fixture)
     contour = default_contour(d).nodes_weights()[0]
     points = (d.grid.nodes, np.array(d.grid.nodes), np.linspace(-3.0 * d.q, 3.0 * d.q, 37),
               0.37 * d.q, d.q, contour)
     for nu in _shifts(d):
         for lam in points:
-            for got, charge, phase in ((nu(lam), d.Z, d.phi), (nu.d1(lam), d.Z_d1, d.phi_d1)):
+            for got, charge, phase in ((nu(lam), d.Z, d.phi),
+                                       (nu.d1(lam), d.Z.d1,
+                                        lambda lam, mu: d.phi_solution(mu).d1(lam))):
                 ref = -0.5 * charge(lam)
                 for z in nu.particles:
                     ref = ref - phase(lam, z)

@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from llasym.model import (
     ModelParams,
     StripError,
-    bare_eps0,
-    bare_p0,
     bare_phase,
     bare_u0,
-    bare_u0_d1,
     lieb_kernel,
     lieb_kernel_d1,
     lieb_kernel_d2,
@@ -89,16 +86,17 @@ def test_kernel_values_and_normalization():
 def test_bare_dispersion():
     lam = np.linspace(-3.0, 3.0, 13)
     p = ModelParams(c=2.0, h=4.0)
-    assert np.allclose(bare_p0(lam), lam)
-    assert np.allclose(bare_eps0(lam, p), lam**2 - 4.0)
-    assert bare_eps0(2.0, p) == pytest.approx(0.0, abs=1e-15)  # zero at sqrt(h)
     r = 0.35
     assert np.allclose(bare_u0(lam, r, p), lam - r * (lam**2 - 4.0))
+    # eps0 = lam^2 - h vanishes at sqrt(h), where u0 = p0 = lam
+    assert bare_u0(2.0, r, p) == pytest.approx(2.0, abs=1e-15)
     eps = 1e-7
     fd = (bare_u0(lam + eps, r, p) - bare_u0(lam - eps, r, p)) / (2.0 * eps)
-    assert np.allclose(bare_u0_d1(lam, r), fd, atol=1e-6)
+    assert np.allclose(1.0 - 2.0 * r * lam, fd, atol=1e-6)
     # bare saddle: u0' vanishes at lam = x/(2t)
-    assert bare_u0_d1(1.0 / (2.0 * r), r) == pytest.approx(0.0, abs=1e-15)
+    lam0 = 1.0 / (2.0 * r)
+    fd0 = (bare_u0(lam0 + eps, r, p) - bare_u0(lam0 - eps, r, p)) / (2.0 * eps)
+    assert fd0 == pytest.approx(0.0, abs=1e-6)
 
 
 _THETA = 2.0 * np.pi * np.arange(64) / 64
