@@ -11,6 +11,7 @@ unwritable output, 3 saddle/regime error.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -18,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import fflab
 from .amplitudes import CONTOUR_NODES, amplitude, default_contour
 from .asymptote import (
     RATIO_RTOL,
@@ -350,8 +350,12 @@ def _luttinger(d) -> tuple:
     return 0.25 / k, 0.5 / k + 2.0 * k
 
 
+# The four fflab residuals import the lab themselves, so no other command loads it.
+
 def _xn_residual() -> float:
     """Exhaustive particle-hole sum against its finite determinant."""
+    from . import fflab
+
     return max(
         _rel_err(fflab.xn_bruteforce(inst), fflab.xn_determinant(inst))
         for inst in fflab.standard_matrix()
@@ -362,6 +366,8 @@ _SINGSUM_POINTS = tuple(np.pi * (a + 0.5) / 10.0 for a in (-7, -2, 0, 3, 9))
 
 
 def _singsum_closure() -> float:
+    from . import fflab
+
     inst = fflab.singular_sum_instance(40)
     return max(fflab.singular_sum(inst, r, lam).residual for r in (0, 1, 2) for lam in _SINGSUM_POINTS)
 
@@ -373,6 +379,8 @@ def _singsum_scaling() -> float:
     so doubling the window divides it by 4; tolerance 1 is the open band
     (2, 8) for the ratio.
     """
+    from . import fflab
+
     i40, i80 = (
         abs(fflab.singular_sum(fflab.singular_sum_instance(w), 1, _SINGSUM_POINTS[0]).remainder_closure)
         for w in (40, 80)
@@ -389,6 +397,8 @@ _LAGRANGE_MAPS = (
 
 
 def _lagrange_residual() -> float:
+    from . import fflab
+
     return max(
         _rel_err(fflab.lagrange_series(phis, f, max_order=8)[8], fflab.lagrange_closed_form(phis, f))
         for phis, f in _LAGRANGE_MAPS
@@ -458,6 +468,10 @@ def verify_inputs(cfg: RunConfig) -> dict:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple:
+    # Load the lab before the dressing allocates: loaded later, between the
+    # dressing's arrays, it left the process's peak resident memory slightly higher.
+    from . import fflab  # noqa: F401
+
     bound = verify_inputs(cfg)
     results = [check.run(bound) for check in CHECKS.values()]
     lines = ["# llasym verify"]
@@ -542,5 +556,20 @@ def main(argv=None) -> int:
     return code
 
 
+def entry(argv=None) -> int:
+    """`main` for a process that exits next: `python -m llasym.cli` and the
+    `llasym` console script.
+
+    After the command it freezes the garbage collector, so the interpreter's
+    collections at exit skip the objects still alive instead of traversing
+    them all.  `main` itself does not freeze: tests and the benchmark's
+    traced run call it in a process that goes on.
+    """
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

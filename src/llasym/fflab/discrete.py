@@ -135,11 +135,12 @@ def xn_bruteforce(inst: FFLabInstance) -> complex:
     n = 0, 1, ...: every n-subset of holes in [1..N+1] (outer) with every
     n-subset of particles from the rest of the window (inner), in
     `itertools.combinations` order, one label row each.  A block's dhat
-    values come from one stacked Cauchy determinant.  The weighted terms
-    are then added one at a time in enumeration order with scalar complex
-    products, so X_N is bit for bit the sum taken one configuration at a
-    time (numpy's array complex multiply can differ from its scalar one in
-    the last bit).
+    values come from one stacked Cauchy determinant, and its weights
+    E^(-2)(mu_l) from one array exponential.  The weighted terms are then
+    added one at a time in enumeration order with scalar complex products,
+    so X_N is bit for bit the sum taken one configuration at a time
+    (numpy's array complex multiply can differ from its scalar one in the
+    last bit).
     """
     if inst.nu.is_zero:
         return nu_zero_limit(inst)
@@ -162,9 +163,9 @@ def xn_bruteforce(inst: FFLabInstance) -> complex:
                          list(itertools.combinations(interior, n)))
         mu_l = inst.mu_at(ell)
         dh = _dhat_rows(inst, mu_l, *lam_factors).tolist()
-        lsum = np.sum(inst.phase.log_inv_sq(mu_l), axis=1)
-        for log_weight, dhat in zip(lsum, dh):
-            total += lam_weight * np.exp(log_weight) * dhat
+        weights = np.exp(np.sum(inst.phase.log_inv_sq(mu_l), axis=1))
+        for weight, dhat in zip(weights, dh):
+            total += lam_weight * weight * dhat
     return complex(total)
 
 

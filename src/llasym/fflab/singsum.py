@@ -20,6 +20,7 @@ discrete - main - local and through its own independent quadrature.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,89 @@ def _window_edges(inst: FFLabInstance):
     return a_left, b_right
 
 
+def _weight_lower(inst: FFLabInstance, z):
+    """1/(e^{2 i pi L xi} - 1), exponentially small below the axis."""
+    return 1.0 / (np.exp(2j * np.pi * inst.L * inst.xi(z)) - 1.0)
+
+
+def _weight_upper(inst: FFLabInstance, z):
+    """1/(1 - e^{-2 i pi L xi}), exponentially small above the axis."""
+    return 1.0 / (1.0 - np.exp(-2j * np.pi * inst.L * inst.xi(z)))
+
+
+@dataclass(frozen=True)
+class _Leg:
+    """One polyline: its nodes, complex weights, E^(-2) on the nodes and an
+    optional boundary weight on the nodes."""
+
+    z: np.ndarray
+    wz: np.ndarray
+    e_inv_sq: np.ndarray
+    weight: np.ndarray | None = None
+
+    def integral(self, r: int, lam: float) -> complex:
+        """Sum of E^(-2)(z)/(z - lam)^r (times the boundary weight) * wz over the nodes."""
+        f = self.e_inv_sq / (self.z - lam) ** r
+        if self.weight is not None:
+            f = f * self.weight
+        return np.sum(f * self.wz)
+
+
+def _leg(inst: FFLabInstance, nodes, weight=None) -> _Leg:
+    z, wz = nodes
+    return _Leg(z, wz, inst.phase.e_inv_sq(z), None if weight is None else weight(inst, z))
+
+
+@dataclass(frozen=True)
+class _Contours:
+    """Everything of the decomposition that does not depend on (r, lam).
+
+    `main` is the descending contour above the window; `boundary` holds the
+    legs of the remainder: the plain risers up to the main contour's
+    endpoints, then the weighted upper and lower halves of the window's
+    rectangle.
+    """
+
+    a_left: float
+    b_right: float
+    main: _Leg
+    boundary: tuple
+
+
+# instance -> its _Contours.  Instances are frozen and hashable, so equal
+# instances share an entry; the keys are weak, so an entry lives only as long
+# as an instance it serves and the lab holds no arrays once its callers are done.
+_CONTOURS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _contours(inst: FFLabInstance) -> _Contours:
+    """The contours of `inst`, built once per live instance value."""
+    paths = _CONTOURS.get(inst)
+    if paths is None:
+        paths = _CONTOURS[inst] = _build_contours(inst)
+    return paths
+
+
+def _build_contours(inst: FFLabInstance) -> _Contours:
+    a_left, b_right = _window_edges(inst)
+    h = _HEIGHT
+    # main: from a_left + ih, crossing the axis at the knee, or straight
+    # above the axis when the knee lies right of the window
+    if inst.phase.knee < b_right:
+        main = _leg(inst, descending_nodes(a_left, inst.phase.knee, b_right, h))
+        right_end = b_right - 1j * h
+    else:
+        right_end = b_right + 1j * h
+        main = _leg(inst, polyline_nodes([a_left + 1j * h, right_end]))
+    boundary = (
+        _leg(inst, polyline_nodes([a_left, a_left + 1j * h])),
+        _leg(inst, polyline_nodes([right_end, b_right])),
+        _leg(inst, polyline_nodes([b_right, b_right + 1j * h, a_left + 1j * h, a_left]), _weight_upper),
+        _leg(inst, polyline_nodes([a_left, a_left - 1j * h, b_right - 1j * h, b_right]), _weight_lower),
+    )
+    return _Contours(a_left, b_right, main, boundary)
+
+
 def singular_sum(inst: FFLabInstance, r: int, lam: float) -> SingularSumResult:
     """Evaluate S_r(lam) and its exact contour decomposition."""
     if r not in (0, 1, 2):
@@ -92,9 +176,9 @@ def singular_sum(inst: FFLabInstance, r: int, lam: float) -> SingularSumResult:
     lam = float(lam)
     phase = inst.phase
     L = inst.L
-    a_left, b_right = _window_edges(inst)
+    paths = _contours(inst)
+    a_left, b_right = paths.a_left, paths.b_right
     knee = phase.knee
-    h = _HEIGHT
     if not (a_left + 1e-3 < lam < min(knee, b_right) - 1e-3):
         raise ContourPlacementError(
             f"lam={lam} must sit inside ({a_left:.3f}, {min(knee, b_right):.3f}) "
@@ -103,32 +187,11 @@ def singular_sum(inst: FFLabInstance, r: int, lam: float) -> SingularSumResult:
         raise ContourPlacementError(
             "lam coincides with an occupation point; the local weight is singular")
 
-    def f_plain(z):
-        return phase.e_inv_sq(z) / (z - lam) ** r
-
-    def weight_lower(z):
-        # 1/(e^{2 i pi L xi} - 1), exponentially small below the axis
-        return 1.0 / (np.exp(2j * np.pi * L * inst.xi(z)) - 1.0)
-
-    def weight_upper(z):
-        # 1/(1 - e^{-2 i pi L xi}), exponentially small above the axis
-        return 1.0 / (1.0 - np.exp(-2j * np.pi * L * inst.xi(z)))
-
-    # discrete sum
     discrete = complex(np.sum(inst.mu_weights / (inst.mu - lam) ** r))
-
-    # main: descending contour above lam, crossing the axis at the knee,
-    # from a_left + ih to right_end
-    if knee < b_right:
-        z, wz = descending_nodes(a_left, knee, b_right, h)
-        right_end = b_right - 1j * h
-    else:
-        right_end = b_right + 1j * h
-        z, wz = polyline_nodes([a_left + 1j * h, right_end])
-    main = complex(np.sum(f_plain(z) * wz) / (2.0 * np.pi))
+    main = complex(paths.main.integral(r, lam) / (2.0 * np.pi))
 
     # local residue terms at z = lam
-    wl = complex(weight_lower(np.array(lam)))
+    wl = complex(_weight_lower(inst, np.array(lam)))
     if r == 0:
         local = 0.0 + 0.0j
     elif r == 1:
@@ -142,17 +205,10 @@ def singular_sum(inst: FFLabInstance, r: int, lam: float) -> SingularSumResult:
 
     closure = discrete - main - local
 
-    # independent quadrature of the remainder over the window boundary:
-    # plain risers up to the descending contour's endpoints, plus the
-    # weighted upper and lower halves of the rectangle boundary
+    # independent quadrature of the remainder over the window boundary
     rem = 0.0 + 0.0j
-    for z0, z1 in ((a_left, a_left + 1j * h), (right_end, b_right)):
-        z, wz = polyline_nodes([z0, z1])
-        rem += np.sum(f_plain(z) * wz)
-    z, wz = polyline_nodes([b_right, b_right + 1j * h, a_left + 1j * h, a_left])
-    rem += np.sum(f_plain(z) * weight_upper(z) * wz)
-    z, wz = polyline_nodes([a_left, a_left - 1j * h, b_right - 1j * h, b_right])
-    rem += np.sum(f_plain(z) * weight_lower(z) * wz)
+    for leg in paths.boundary:
+        rem += leg.integral(r, lam)
     rem /= 2.0 * np.pi
 
     return SingularSumResult(r=r, lam=lam, discrete=discrete, main=main,

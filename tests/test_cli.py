@@ -1,12 +1,14 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
+import functools
+import gc
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from llasym.cli import CHECKS, main
+from llasym.cli import CHECKS, entry, main
 
 from golden_diff import golden_mismatch
 
@@ -16,6 +18,18 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "llasym.cli", *argv], capture_output=True, text=True)
+
+
+@functools.cache
+def run_verify(*argv):
+    """`llasym verify` run once per argument list, shared by the tests below."""
+    return run_cli("verify", *argv)
+
+
+def run_python(code: str):
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
 
 
 def _column(stdout: str, header_prefix: str) -> float:
@@ -153,12 +167,58 @@ def test_help_lists_each_command_once(capsys):
 
 def test_numpy_is_the_only_runtime_dependency():
     code = "import sys, llasym.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout == "[]\n"
+    assert run_python(code) == "[]\n"
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == ["numpy>=1.24"]
+
+
+def test_only_verify_loads_fflab():
+    """The finite-size lab is imported by the verify checks that use it, not by the CLI module."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from llasym.cli import main\n"
+        f"for argv in (['asymptotics', '--config', {str(DATA / 'asym_c1.cfg')!r}], ['dress'], ['verify']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(argv[0], code, 'llasym.fflab' in sys.modules)\n"
+    )
+    assert run_python(code) == "asymptotics 0 False\ndress 0 False\nverify 0 True\n"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["dress", "--config", str(DATA / "dress_c4.cfg")], 0),
+    (["dress", "--config", str(DATA / "missing.cfg")], 2),
+    (["verify", "--perturb", "1e-3"], 1),
+], ids=["success", "config_error", "verify_failure"])
+def test_entry_returns_the_exit_code_of_main(argv, code, capsys):
+    gc.unfreeze()
+    try:
+        assert main(argv) == code
+        assert gc.get_freeze_count() == 0  # main leaves the collector alone
+        by_main = capsys.readouterr()
+        assert entry(argv) == code
+        assert gc.get_freeze_count() > 0   # entry freezes it for the exit
+        assert capsys.readouterr() == by_main
+    finally:
+        gc.unfreeze()
+
+
+def test_module_and_console_script_run_entry():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"llasym": "llasym.cli:entry"}
+    code = (
+        "import gc, runpy, sys\n"
+        f"sys.argv = ['llasym', 'dress', '--config', {str(DATA / 'dress_c4.cfg')!r}]\n"
+        "try:\n"
+        "    runpy.run_module('llasym.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.stderr == "exit 0 True\n"
+    assert_golden(res.stdout, "dress_c4.golden")
 
 
 def _verify_body(stdout: str) -> list:
@@ -170,7 +230,7 @@ def _verify_body(stdout: str) -> list:
 def test_verify_passes():
     # the time-like config predicts no saddle amplitude, so none enters the phase check
     for argv in ((), ("--config", str(DATA / "asym_tl.cfg"))):
-        res = run_cli("verify", *argv)
+        res = run_verify(*argv)
         assert res.returncode == 0, res.stdout + res.stderr
         body = _verify_body(res.stdout)
         assert [name for _, name in body] == list(CHECKS)  # one line per check, registry order
@@ -179,11 +239,22 @@ def test_verify_passes():
 
 
 def test_verify_perturbation_is_detected():
-    res = run_cli("verify", "--perturb", "1e-3")
+    res = run_verify("--perturb", "1e-3")
     assert res.returncode == 1
     failed = [name for status, name in _verify_body(res.stdout) if status == "FAIL"]
     assert failed == [name for name in CHECKS if name.startswith("Z_")]
     assert len(failed) == 4
+
+
+@pytest.mark.parametrize("argv,golden,code", [
+    ((), "verify.golden", 0),
+    (("--perturb", "1e-3"), "verify_perturb.golden", 1),
+], ids=["verify", "verify_perturb"])
+def test_verify_golden(argv, golden, code):
+    res = run_verify(*argv)
+    assert res.returncode == code, res.stderr
+    assert res.stderr == ""
+    assert_golden(res.stdout, golden)
 
 
 def test_impenetrable_limit_header(tmp_path):

@@ -26,7 +26,8 @@ from llasym.fflab import (
     xn_bruteforce,
     xn_determinant,
 )
-from llasym.fflab import discrete
+from llasym.cli import _SINGSUM_POINTS
+from llasym.fflab import discrete, singsum
 from llasym.fflab.discrete import _config_count
 
 XI_STD = AffineCounting(1.0 / (2.0 * np.pi), 0.5)
@@ -274,6 +275,79 @@ def test_singular_sum_remainder_shrinks_with_window():
     i80 = abs(singular_sum(singular_sum_instance(80), 1, lam).remainder_closure)
     # k + r - 1 = 2 powers of the window width: prediction 4, wide band
     assert 2.0 < i40 / i80 < 8.0
+
+
+def _singular_sum_reference(inst, r, lam):
+    """(main, remainder by quadrature) of S_r(lam), every contour built afresh."""
+    L, h, knee = inst.L, singsum._HEIGHT, inst.phase.knee
+    a, b = inst.xi.inverse(-(inst.w + 0.5) / L), inst.xi.inverse((inst.w + 0.5) / L)
+
+    def f(z):
+        return inst.phase.e_inv_sq(z) / (z - lam) ** r
+
+    if knee < b:
+        z, wz = singsum.descending_nodes(a, knee, b, h)
+        end = b - 1j * h
+    else:
+        end = b + 1j * h
+        z, wz = singsum.polyline_nodes([a + 1j * h, end])
+    main = complex(np.sum(f(z) * wz) / (2.0 * np.pi))
+    rem = 0.0 + 0.0j
+    for z0, z1 in ((a, a + 1j * h), (end, b)):
+        z, wz = singsum.polyline_nodes([z0, z1])
+        rem += np.sum(f(z) * wz)
+    z, wz = singsum.polyline_nodes([b, b + 1j * h, a + 1j * h, a])
+    rem += np.sum(f(z) * (1.0 / (1.0 - np.exp(-2j * np.pi * L * inst.xi(z)))) * wz)
+    z, wz = singsum.polyline_nodes([a, a - 1j * h, b - 1j * h, b])
+    rem += np.sum(f(z) * (1.0 / (np.exp(2j * np.pi * L * inst.xi(z)) - 1.0)) * wz)
+    return main, complex(rem / (2.0 * np.pi))
+
+
+def _sum_bits(res):
+    return np.array([res.discrete, res.main, res.local, res.remainder_closure,
+                     res.remainder_quadrature]).tobytes()
+
+
+def test_singular_sum_contour_cache_keeps_the_bits():
+    """Cached contours give the bits of a cold evaluation and of contours
+    built afresh: verify's closure calls (r in {0, 1, 2} at its five points),
+    its w = 40/80 scaling pair, and a straight main contour."""
+    base = singular_sum_instance(40)
+    straight = FFLabInstance(N=base.N, L=base.L, w=base.w, xi=base.xi, nu=base.nu,
+                             phase=QuadraticPhase(x=2.0, tau=0.04))
+    calls = [(base, r, lam) for r in (0, 1, 2) for lam in _SINGSUM_POINTS]
+    calls += [(singular_sum_instance(w), 1, _SINGSUM_POINTS[0]) for w in (40, 80)]
+    calls += [(straight, 2, _SINGSUM_POINTS[1])]
+    cold = []
+    for inst, r, lam in calls:
+        singsum._CONTOURS.clear()
+        res = singular_sum(inst, r, lam)
+        main, rem = _singular_sum_reference(inst, r, lam)
+        assert _bits(res.main) == _bits(main) and _bits(res.remainder_quadrature) == _bits(rem)
+        cold.append(_sum_bits(res))
+    singsum._CONTOURS.clear()
+    assert [_sum_bits(singular_sum(*call)) for call in calls] == cold
+    assert len(singsum._CONTOURS) == 3  # the two w = 40 instances share an entry
+
+
+def test_singular_sum_contour_cache_is_shared_and_bounded():
+    """Equal instances share one entry, and an entry lives only as long as an
+    instance it serves, so the lab holds no contours once its callers are done."""
+    singsum._CONTOURS.clear()
+    a, b = singular_sum_instance(40), singular_sum_instance(40)
+    assert a is not b
+    singular_sum(a, 1, _SINGSUM_POINTS[2])
+    paths = singsum._CONTOURS[a]
+    singular_sum(b, 2, _SINGSUM_POINTS[3])
+    assert len(singsum._CONTOURS) == 1 and singsum._CONTOURS[b] is paths
+    del a, b
+    assert len(singsum._CONTOURS) == 0
+    kept = [singular_sum_instance(w) for w in range(20, 30)]
+    for inst in kept:
+        singular_sum(inst, 1, _SINGSUM_POINTS[2])
+    assert len(singsum._CONTOURS) == len(kept)
+    del kept, inst
+    assert len(singsum._CONTOURS) == 0
 
 
 def test_singular_sum_placement_guards():
