@@ -31,6 +31,7 @@ import numpy as np
 from .amplitudes import ContourSpec, amplitude
 from .dressing import DressedSet, dress_all
 from .excitations import (
+    MAX_ABS_ELL,
     TERMS,
     LedgerRow,
     active_terms,
@@ -70,7 +71,7 @@ class ExpansionReport:
 
     dressed: DressedSet
     ratio_t_over_x: float
-    max_abs_ell: int = 2
+    max_abs_ell: int = MAX_ABS_ELL
     contour: ContourSpec | None = None
 
     @property
@@ -154,7 +155,7 @@ class ExpansionReport:
 def assemble_expansion(
     params_or_dressed,
     ratio_t_over_x: float,
-    max_abs_ell: int = 2,
+    max_abs_ell: int = MAX_ABS_ELL,
     contour: ContourSpec | None = None,
 ) -> ExpansionReport:
     """Build the term table at fixed ratio t/x > 0.

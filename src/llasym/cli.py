@@ -29,6 +29,7 @@ from .asymptote import (
 )
 from .dressing import N_NODES, BracketFailureError, SingularSystemError, dress_all
 from .excitations import (
+    MAX_ABS_ELL,
     DegenerateSaddleError,
     MultipleSaddlesError,
     NoSaddleError,
@@ -67,7 +68,7 @@ class RunConfig:
     ratio_t_over_x: float = 0.2
     n_nodes: int = N_NODES
     contour_nodes: int = CONTOUR_NODES
-    max_abs_ell: int = 2
+    max_abs_ell: int = MAX_ABS_ELL
     eval_points: tuple = ()
     output_path: str = ""
     perturb: float = 0.0
@@ -78,12 +79,12 @@ class RunConfig:
             val = getattr(self, key)
             if not (0 < val < math.inf):
                 raise ConfigError(f"need {key} > 0 and finite, got {key} = {val}")
-        if self.n_nodes < 8:
-            raise ConfigError(f"need n_nodes >= 8, got {self.n_nodes}")
-        if self.contour_nodes < 16:
-            raise ConfigError(f"need contour_nodes >= 16, got {self.contour_nodes}")
-        if self.max_abs_ell < 0:
-            raise ConfigError(f"need max_abs_ell >= 0, got {self.max_abs_ell}")
+        # the upper bounds keep the n x n Nystrom and contour matrices and the
+        # ladder's ~(2K+1)^2/2 rows within memory
+        for key, lo, hi in (("n_nodes", 8, 2048), ("contour_nodes", 16, 2048),
+                            ("max_abs_ell", 0, 50)):
+            if not lo <= getattr(self, key) <= hi:
+                raise ConfigError(f"need {lo} <= {key} <= {hi}, got {getattr(self, key)}")
         for x, t in self.eval_points:
             if not (0 < x < math.inf):
                 raise ConfigError(f"eval point needs finite x > 0, got ({x}, {t})")

@@ -22,12 +22,13 @@ arguments to |Im z| <= c/4 (the kernel's poles sit at +-ic).  Derivatives
 of the extension are exact derivatives of this formula.
 
 The matrix w_k K^(order)(z - lam_k) of an extension depends on the grid
-only, so it is built once and shared: `weighted_kernel` fills the
-difference array z - lam_k with the kernel in place (one buffer of the
-result's size; K' needs one more), and `DressedSet.extend` extends several
-solutions from one matrix (p' and eps' for u' and u'', Z and the phi(., mu)
-of a shift function).  Sharing never changes a bit: each extension applies
-the same matrix it would have built itself.
+only, so the `NystromOperator` owns it, and every solution carries its
+operator: `weighted_kernel` fills the difference array z - lam_k with the
+kernel in place (one buffer of the result's size; K' needs one more), and
+`op.extend(z, order, solutions)` extends several solutions from one matrix
+(p' and eps' for u' and u'', Z and the phi(., mu) of a shift function).  A
+solution's own call is `op.extend` of that solution alone, so sharing never
+changes a bit.
 
 Every Gauss-Legendre rule comes from `legendre_rule`, built once per n and
 scaled by q.  The Fermi boundary q is fixed by eps(+-q) = 0: eps(sqrt(h)) < 0
@@ -105,49 +106,23 @@ def _ones(lam):
 
 @dataclass
 class SecondKindSolution:
-    """Node values of f plus the Nystrom extension and its derivatives.
+    """Node values of f on its operator's grid; calls give the Nystrom extension.
 
     `drivings` holds g, g', g'' in that order; derivatives past its end are 0.
     """
 
-    grid: QuadGrid
-    params: ModelParams
+    op: NystromOperator
     values: np.ndarray
     drivings: tuple
 
-    def weighted_kernel(self, z, order: int) -> np.ndarray:
-        """w_k K^(order)(z - lam_k): the matrix the order-th derivative's extension applies.
-
-        It depends on the grid only, so solutions on one grid can share it.
-        """
-        _check_strip(z, self.params.c)
-        kernel = (lieb_kernel, lieb_kernel_d1, lieb_kernel_d2)[order]
-        diff = np.asarray(z)[..., None] - self.grid.nodes
-        kernel(diff, self.params, out=diff)
-        diff *= self.grid.weights
-        return diff
-
-    def extend(self, z, order: int, kzw: np.ndarray | None = None):
-        """f^(order)(z) = g^(order)(z) + (1/2pi) sum_k w_k K^(order)(z - lam_k) f_k.
-
-        `kzw` is `weighted_kernel(z, order)`, built here unless the caller
-        already has it.
-        """
-        if kzw is None:
-            kzw = self.weighted_kernel(z, order)
-        z = np.asarray(z)
-        g = self.drivings[order](z) if order < len(self.drivings) else 0.0
-        out = g + kzw @ self.values / (2.0 * np.pi)
-        return out[()] if out.ndim == 0 else out
-
     def __call__(self, z):
-        return self.extend(z, 0)
+        return self.op.extend(z, 0, (self,))[0]
 
     def d1(self, z):
-        return self.extend(z, 1)
+        return self.op.extend(z, 1, (self,))[0]
 
     def d2(self, z):
-        return self.extend(z, 2)
+        return self.op.extend(z, 2, (self,))[0]
 
 
 def nystrom_matrix(grid: QuadGrid, params: ModelParams) -> np.ndarray:
@@ -173,49 +148,61 @@ def lu_factor(matrix: np.ndarray) -> np.ndarray:
 
 
 class NystromOperator:
-    """The Nystrom matrix for a (q, n_nodes, params) triple, shared by its solves."""
+    """The Nystrom matrix for a (q, n_nodes, params) triple, shared by its
+    solves and by every extension of their solutions."""
 
     def __init__(self, grid: QuadGrid, params: ModelParams):
         self.grid = grid
         self.params = params
         self.matrix = lu_factor(nystrom_matrix(grid, params))
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        # one right-hand side per call: a multi-column solve rounds differently
-        try:
-            return np.linalg.solve(self.matrix, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
-
     def solve(self, *drivings: Callable) -> SecondKindSolution:
         """The solution with driving g = drivings[0]; the rest are g', g'', as far as known."""
-        rhs = np.asarray(drivings[0](self.grid.nodes))
-        if np.iscomplexobj(rhs):
-            vals = self._solve(rhs.real) + 1j * self._solve(rhs.imag)
-        else:
-            vals = self._solve(rhs)
-        return SecondKindSolution(self.grid, self.params, vals, drivings)
+        # one right-hand side per call: a multi-column solve rounds differently
+        try:
+            vals = np.linalg.solve(self.matrix, np.asarray(drivings[0](self.grid.nodes)))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(str(exc)) from exc
+        return SecondKindSolution(self, vals, drivings)
+
+    def weighted_kernel(self, z, order: int) -> np.ndarray:
+        """w_k K^(order)(z - lam_k): the matrix the order-th derivative's extension applies."""
+        _check_strip(z, self.params.c)
+        kernel = (lieb_kernel, lieb_kernel_d1, lieb_kernel_d2)[order]
+        diff = np.asarray(z)[..., None] - self.grid.nodes
+        kernel(diff, self.params, out=diff)
+        diff *= self.grid.weights
+        return diff
+
+    def extend(self, z, order: int, solutions) -> list:
+        """[s^(order)(z) for s in solutions], each
+        g^(order)(z) + (1/2pi) sum_k w_k K^(order)(z - lam_k) s_k, from one kernel matrix."""
+        kzw = self.weighted_kernel(z, order)
+        z = np.asarray(z)
+        out = []
+        for s in solutions:
+            g = s.drivings[order](z) if order < len(s.drivings) else 0.0
+            f = g + kzw @ s.values / (2.0 * np.pi)
+            out.append(f[()] if f.ndim == 0 else f)
+        return out
 
 
-def _eps_at_q(q: float, params: ModelParams, n_nodes: int, operators: dict | None = None) -> float:
+def _eps_at_q(q: float, params: ModelParams, n_nodes: int, operators: dict) -> float:
     """eps(q) on the grid [-q, q]; the operator built for it goes to `operators[q]`."""
-    grid = QuadGrid.build(n_nodes, float(q))
-    op = NystromOperator(grid, params)
-    if operators is not None:
-        operators[q] = op
-    eps = op.solve(lambda lam: lam * lam - params.h)
-    return float(eps(q))
+    op = operators[q] = NystromOperator(QuadGrid.build(n_nodes, float(q)), params)
+    return float(op.solve(lambda lam: lam * lam - params.h)(q))
 
 
-def find_fermi_boundary(params: ModelParams, n_nodes: int, operators: dict | None = None) -> float:
-    """q > 0 with eps(q) = 0, by Brent's method on a bracket grown from sqrt(h).
+def find_fermi_boundary(params: ModelParams, n_nodes: int) -> NystromOperator:
+    """The operator on [-q, q] with eps(q) = 0, q found by Brent's method on a
+    bracket grown from sqrt(h).
 
     eps(sqrt(h)) < 0 for c > 0; the upper end doubles (at most 12 times) until
     eps changes sign, then the bracket closes to a few ulps of q.  |eps(q)| >
     _POLE_TOL * h there means a pole of the discretised eps (too few nodes for c).
-    A dict passed as `operators` ends up holding the `NystromOperator` built
-    at the returned q (keyed by q), so `dress_all` need not build it again.
+    The operator returned is the one the search built at q (`grid.q` is q).
     """
+    operators: dict = {}
     lo = hi = float(np.sqrt(params.h))
     f_lo = _eps_at_q(lo, params, n_nodes, operators)
     for _ in range(12):
@@ -250,12 +237,11 @@ def find_fermi_boundary(params: ModelParams, n_nodes: int, operators: dict | Non
         a, f_a = b, f_b
         b += d if abs(d) > delta else np.copysign(delta, m)
         f_b = _eps_at_q(b, params, n_nodes, operators)
-        if operators is not None:  # the q returned is b, or c after a swap
-            for key in operators.keys() - {a, b, c}:
-                del operators[key]
+        for key in operators.keys() - {a, b, c}:  # the q returned is b, or c after a swap
+            del operators[key]
     if not abs(f_b) <= _POLE_TOL * params.h:
         raise BracketFailureError(f"eps changes sign across a pole at q = {b} (eps = {f_b})")
-    return float(b)
+    return operators[b]
 
 
 @dataclass
@@ -296,13 +282,6 @@ class DressedSet:
         """The dressed charge: Z = p', the same equation (driving 1)."""
         return self.p_d1
 
-    def extend(self, z, order: int, solutions) -> list:
-        """[s^(order)(z) for s in solutions], the solutions on this set's grid,
-        from one weighted kernel matrix: bit-identical to s(z) (order 0) or
-        s.d1(z) (order 1)."""
-        kzw = self.p_d1.weighted_kernel(z, order)
-        return [s.extend(z, order, kzw) for s in solutions]
-
     def p(self, z):
         """p(z) = int_0^z p'(s) ds (p(0) = 0; p odd since p' is even)."""
         z_arr = np.atleast_1d(np.asarray(z, dtype=float))
@@ -337,9 +316,7 @@ class DressedSet:
 
 def dress_all(params: ModelParams, n_nodes: int = N_NODES) -> DressedSet:
     """Solve the full dressed set at the Fermi boundary fixed by eps(+-q)=0."""
-    operators: dict = {}
-    q = find_fermi_boundary(params, n_nodes, operators)
-    op = operators[q]
+    op = find_fermi_boundary(params, n_nodes)
     p_d1 = op.solve(_ones)
     eps = op.solve(lambda lam: lam * lam - params.h, lambda lam: 2.0 * lam,
                    lambda lam: 2.0 * _ones(lam))
@@ -347,4 +324,4 @@ def dress_all(params: ModelParams, n_nodes: int = N_NODES) -> DressedSet:
     # terms of the integration by parts vanish because eps(+-q) = 0.
     eps_d1 = op.solve(lambda lam: 2.0 * lam, lambda lam: 2.0 * _ones(lam))
     det_IK = float(np.linalg.det(op.matrix))
-    return DressedSet(params, q, op.grid, op, p_d1, eps, eps_d1, det_IK)
+    return DressedSet(params, op.grid.q, op.grid, op, p_d1, eps, eps_d1, det_IK)

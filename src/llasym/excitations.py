@@ -54,6 +54,8 @@ class DegenerateSaddleError(RuntimeError):
 SPACE_LIKE = "space-like"
 TIME_LIKE = "time-like"
 
+MAX_ABS_ELL = 2  # the harmonic ladder's default bound |l+-| <= MAX_ABS_ELL
+
 # label -> (shift and amplitude kind, ledger pair (l+, l-)) of each explicit term
 TERMS = {
     "saddle": ("saddle", (-1, 0)),
@@ -76,7 +78,7 @@ class ShiftFn:
     particles z+ (anywhere in the strip) and holes z- (in [-q, q]).
 
     Each evaluation builds one weighted kernel matrix at lam and extends Z and
-    every phi(., z) from it (`DressedSet.extend`).  nu on the dressed
+    every phi(., z) from it (`NystromOperator.extend`).  nu on the dressed
     set's own grid nodes is computed once and returned, read-only, whenever
     the shift is called with `dressed.grid.nodes` itself.
     """
@@ -93,7 +95,7 @@ class ShiftFn:
 
     def _combine(self, lam, order: int):
         d = self.dressed
-        charge, *phases = d.extend(
+        charge, *phases = d.op.extend(
             lam, order, (d.Z, *map(d.phi_solution, (*self.particles, *self.holes))))
         out = -0.5 * charge
         for phase in phases[:len(self.particles)]:
@@ -167,13 +169,13 @@ def u_combination(lam, ratio_t_over_x: float, dressed: DressedSet, method: str =
 
 def u_d1(lam, ratio_t_over_x: float, dressed: DressedSet):
     """u'(lam) = p'(lam) - (t/x) eps'(lam), both from one kernel matrix."""
-    p_d1, eps_d1 = dressed.extend(lam, 0, (dressed.p_d1, dressed.eps_d1))
+    p_d1, eps_d1 = dressed.op.extend(lam, 0, (dressed.p_d1, dressed.eps_d1))
     return p_d1 - ratio_t_over_x * eps_d1
 
 
 def u_d2(lam, ratio_t_over_x: float, dressed: DressedSet):
     """u''(lam) = p''(lam) - (t/x) eps''(lam), both from one kernel matrix."""
-    p_d2, eps_d2 = dressed.extend(lam, 1, (dressed.p_d1, dressed.eps_d1))
+    p_d2, eps_d2 = dressed.op.extend(lam, 1, (dressed.p_d1, dressed.eps_d1))
     return p_d2 - ratio_t_over_x * eps_d2
 
 

@@ -82,17 +82,11 @@ class QuadraticPhase:
     x: float
     tau: float
 
-    def u(self, z):
-        return z - self.tau * z * z
-
-    def u_d1(self, z):
-        return 1.0 - 2.0 * self.tau * z
-
     def log_inv_sq(self, z):
-        return 1j * self.x * self.u(z)
+        return 1j * self.x * (z - self.tau * z * z)
 
     def dlog_inv_sq(self, z):
-        return 1j * self.x * self.u_d1(z)
+        return 1j * self.x * (1.0 - 2.0 * self.tau * z)
 
     def e_inv_sq(self, z):
         return np.exp(self.log_inv_sq(z))

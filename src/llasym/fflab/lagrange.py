@@ -1,26 +1,29 @@
 """Multidimensional Lagrange inversion series.
 
-For holomorphic phi_1..phi_s and f on a polydisc, with |phi_j| < r_j on
-the torus |sigma_j| = r_j, the series
+For holomorphic phi_1..phi_s and f on the unit polydisc, with |phi_j| < 1
+on the unit torus |sigma_j| = 1, the series
 
     sum over (n_1..n_s)  [sigma^n]  ( prod_r phi_r^{n_r} * f )
 
 converges to f(z) / det_s(delta_jk - d phi_j / d sigma_k)(z), where z is
 the unique fixed point z_j = phi_j(z) inside the polydisc.  Mixed Taylor
-coefficients are extracted by Cauchy quadrature on circles of radius
-r_j/2, so no symbolic differentiation is ever needed.
+coefficients are extracted by Cauchy quadrature on circles of radius 1/2,
+so no symbolic differentiation is ever needed.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
-_N_SAMPLE = 48  # points per circle of the torus where |phi_j| < r_j is checked
+_N_SAMPLE = 48  # points per circle of the torus where |phi_j| < 1 is checked
 _FIXED_POINT_TOL = 1e-14  # step size at which the fixed-point iteration has converged
 
 
 class ContractionError(ValueError):
-    """|phi_j| >= r_j somewhere on the torus |sigma_j| = r_j."""
+    """|phi_j| >= 1 somewhere on the unit torus |sigma_j| = 1."""
 
 
 class FixedPointError(RuntimeError):
@@ -32,23 +35,17 @@ def _eval_grid(fn, grids):
     return np.broadcast_to(val, np.broadcast_shapes(*(g.shape for g in grids)))
 
 
-def _contraction_radii(phis, radii) -> tuple:
-    """radii (default 1 per variable), checked: |phi_j| < r_j on the torus."""
-    radii = (1.0,) * len(phis) if radii is None else radii
-    if len(radii) != len(phis):
-        raise ValueError("need one radius per variable")
-    theta = 2.0 * np.pi * np.arange(_N_SAMPLE) / _N_SAMPLE
-    ring = np.exp(1j * theta)
-    axes = np.meshgrid(*[r * ring for r in radii], indexing="ij")
-    for j, (phi, rj) in enumerate(zip(phis, radii)):
+def _check_contraction(phis) -> None:
+    """|phi_j| < 1 on the unit torus |sigma_j| = 1."""
+    ring = np.exp(1j * (2.0 * np.pi * np.arange(_N_SAMPLE) / _N_SAMPLE))
+    axes = np.meshgrid(*[ring] * len(phis), indexing="ij")
+    for j, phi in enumerate(phis):
         worst = float(np.max(np.abs(_eval_grid(phi, axes))))
-        if worst >= rj:
-            raise ContractionError(
-                f"|phi_{j + 1}| reaches {worst:.6g} >= r_{j + 1} = {rj} on the torus")
-    return radii
+        if worst >= 1.0:
+            raise ContractionError(f"|phi_{j + 1}| reaches {worst:.6g} >= 1 on the unit torus")
 
 
-def lagrange_series(phis, f, max_order: int, radii=None) -> np.ndarray:
+def lagrange_series(phis, f, max_order: int) -> np.ndarray:
     """Partial sums of the Lagrange series through each total order.
 
     Returns an array P with P[k] = sum of all terms of total order <= k,
@@ -57,45 +54,33 @@ def lagrange_series(phis, f, max_order: int, radii=None) -> np.ndarray:
     s = len(phis)
     if s not in (1, 2):
         raise ValueError("only one- and two-dimensional series are supported")
-    radii = _contraction_radii(phis, radii)
+    _check_contraction(phis)
 
     m = max(64, 4 * max_order + 8)
     theta = 2.0 * np.pi * np.arange(m) / m
-    # coefficients are extracted on circles of half the contraction radius
-    rho = [0.5 * r for r in radii]
-    rings = [rr * np.exp(1j * theta) for rr in rho]
-    grids = np.meshgrid(*rings, indexing="ij")
-
+    # coefficients are extracted on circles of radius 1/2
+    grids = np.meshgrid(*[0.5 * np.exp(1j * theta)] * s, indexing="ij")
     f_grid = _eval_grid(f, grids)
     phi_grids = [_eval_grid(phi, grids) for phi in phis]
-    # ph[j][n] conjugate-phase ring for extracting the n-th power of variable j
-    ph = [np.exp(-1j * np.outer(np.arange(max_order + 1), theta))
-          / (rho[j] ** np.arange(max_order + 1))[:, None]
-          for j in range(s)]
+    # powers[j][n] = phi_j^n on the grid; ph[n] the conjugate-phase ring extracting sigma_j^n
+    powers = [list(itertools.accumulate([p] * max_order, np.multiply, initial=np.ones_like(f_grid)))
+              for p in phi_grids]
+    ph = (np.exp(-1j * np.outer(np.arange(max_order + 1), theta))
+          / (0.5 ** np.arange(max_order + 1))[:, None])
 
     order_sum = np.zeros(max_order + 1, dtype=complex)
-    if s == 1:
-        pw = np.ones_like(f_grid)
-        for n in range(max_order + 1):
-            order_sum[n] += np.sum(f_grid * pw * ph[0][n]) / m
-            pw = pw * phi_grids[0]
-    else:
-        pw1 = np.ones_like(f_grid)
-        for n1 in range(max_order + 1):
-            pw = pw1
-            for n2 in range(max_order + 1 - n1):
-                g = f_grid * pw
-                c = np.sum(g * ph[0][n1][:, None] * ph[1][n2][None, :]) / m**2
-                order_sum[n1 + n2] += c
-                pw = pw * phi_grids[1]
-            pw1 = pw1 * phi_grids[0]
+    for n in itertools.product(range(max_order + 1), repeat=s):
+        if sum(n) <= max_order:
+            g = functools.reduce(np.multiply, [powers[j][nj] for j, nj in enumerate(n)], f_grid)
+            ring = functools.reduce(np.multiply.outer, [ph[nj] for nj in n])
+            order_sum[sum(n)] += np.sum(g * ring) / m**s
     return np.cumsum(order_sum)
 
 
-def lagrange_closed_form(phis, f, radii=None, max_iter: int = 1000) -> complex:
+def lagrange_closed_form(phis, f, max_iter: int = 1000) -> complex:
     """f(z)/det(I - Dphi)(z) at the fixed point z_j = phi_j(z)."""
     s = len(phis)
-    radii = _contraction_radii(phis, radii)
+    _check_contraction(phis)
 
     z = np.zeros(s, dtype=complex)
     for _ in range(max_iter):
@@ -108,7 +93,7 @@ def lagrange_closed_form(phis, f, radii=None, max_iter: int = 1000) -> complex:
     # Jacobian by Cauchy quadrature on small circles around the fixed point
     m = 32
     theta = 2.0 * np.pi * np.arange(m) / m
-    delta = 0.1 * min(radii)
+    delta = 0.1
     jac = np.zeros((s, s), dtype=complex)
     for k in range(s):
         args = [np.full(m, z[i], dtype=complex) for i in range(s)]

@@ -24,7 +24,7 @@ import numpy as np
 from ..dressing import legendre_rule
 from .discrete import integrable_resummation
 from .instances import AffineCounting, FFLabInstance, NuFunction, QuadraticPhase
-from .singsum import descending_nodes
+from .singsum import Leg, descending_nodes
 
 _Q = np.pi  # interval edge: minor_instance's counting function z/2pi + 1/2 fills (-pi, pi)
 _HEIGHT = 0.75  # half-height of the descending contour
@@ -54,8 +54,8 @@ def fredholm_minor_limit(nu: NuFunction, phase: QuadraticPhase, *,
     if phase.knee <= _Q + 1e-6:
         raise ValueError("phase stationary point must sit right of the interval")
     zc, wc = descending_nodes(-half_width, phase.knee, half_width, _HEIGHT)
-    e_inv_c = phase.e_inv_sq(zc)
-    s_contour = np.sum(e_inv_c * wc) / (2.0 * np.pi)
+    contour = Leg(zc, wc, phase.e_inv_sq(zc))
+    s_contour = contour.integral(0, 0.0) / (2.0 * np.pi)
 
     if nu.is_zero:
         # sin(pi nu) = 0 kills the kernel and the rank-one bracket term
@@ -76,9 +76,8 @@ def fredholm_minor_limit(nu: NuFunction, phase: QuadraticPhase, *,
     e_sq_t = 1.0 / e_inv_t
     s_t = np.sin(np.pi * nu_t)
 
-    diff = zc[:, None] - t[None, :]
-    cauchy1 = (wc[:, None] * e_inv_c[:, None] / diff).sum(axis=0) / (2.0 * np.pi)
-    cauchy2 = (wc[:, None] * e_inv_c[:, None] / diff**2).sum(axis=0) / (2.0 * np.pi)
+    cauchy1 = contour.integral(1, t) / (2.0 * np.pi)
+    cauchy2 = contour.integral(2, t) / (2.0 * np.pi)
 
     o_val = 1j * cauchy1 + e_inv_t / res_weight
     d_e_inv_t = phase.dlog_inv_sq(t) * e_inv_t

@@ -97,7 +97,7 @@ def _weight_upper(inst: FFLabInstance, z):
 
 
 @dataclass(frozen=True)
-class _Leg:
+class Leg:
     """One polyline: its nodes, complex weights, E^(-2) on the nodes and an
     optional boundary weight on the nodes."""
 
@@ -106,17 +106,18 @@ class _Leg:
     e_inv_sq: np.ndarray
     weight: np.ndarray | None = None
 
-    def integral(self, r: int, lam: float) -> complex:
-        """Sum of E^(-2)(z)/(z - lam)^r (times the boundary weight) * wz over the nodes."""
-        f = self.e_inv_sq / (self.z - lam) ** r
+    def integral(self, r: int, lam):
+        """Sum of E^(-2)(z)/(z - lam)^r (times the boundary weight) * wz over the
+        nodes, for each point of the array `lam` (a number gives a number)."""
+        f = self.e_inv_sq / (self.z - np.asarray(lam)[..., None]) ** r
         if self.weight is not None:
             f = f * self.weight
-        return np.sum(f * self.wz)
+        return np.sum(f * self.wz, axis=-1)
 
 
-def _leg(inst: FFLabInstance, nodes, weight=None) -> _Leg:
+def _leg(inst: FFLabInstance, nodes, weight=None) -> Leg:
     z, wz = nodes
-    return _Leg(z, wz, inst.phase.e_inv_sq(z), None if weight is None else weight(inst, z))
+    return Leg(z, wz, inst.phase.e_inv_sq(z), None if weight is None else weight(inst, z))
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ class _Contours:
 
     a_left: float
     b_right: float
-    main: _Leg
+    main: Leg
     boundary: tuple
 
 

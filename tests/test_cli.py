@@ -97,6 +97,12 @@ def test_out_writes_file_and_keeps_stdout_empty(tmp_path):
     (["c = inf"], "need c > 0 and finite"),
     (["h = nan"], "need h > 0 and finite"),
     (["ratio_t_over_x = inf"], "need ratio_t_over_x > 0 and finite"),
+    # sizes: each bound is checked before any array is allocated
+    (["n_nodes = 7"], "need 8 <= n_nodes <= 2048"),
+    (["n_nodes = 100000"], "need 8 <= n_nodes <= 2048"),
+    (["contour_nodes = 100000"], "need 16 <= contour_nodes <= 2048"),
+    (["max_abs_ell = -1"], "need 0 <= max_abs_ell <= 50"),
+    (["max_abs_ell = 100000"], "need 0 <= max_abs_ell <= 50"),
 ])
 def test_config_errors_exit_2(tmp_path, lines, fragment):
     cfg = tmp_path / "bad.cfg"

@@ -30,6 +30,7 @@ from llasym.dressing import (
     find_fermi_boundary,
     legendre_rule,
 )
+from llasym.excitations import ShiftFn, u_d1
 from llasym.model import StripError, lieb_kernel
 
 P11 = ModelParams(c=1.0, h=1.0)
@@ -178,10 +179,10 @@ def _count_eps_calls(monkeypatch, eps_at_q):
 def test_fermi_boundary_root_and_solve_count(monkeypatch, c, h, n_nodes):
     params, eps_at_q = ModelParams(c=c, h=h), dressing._eps_at_q
     calls = _count_eps_calls(monkeypatch, eps_at_q)
-    q = find_fermi_boundary(params, n_nodes=n_nodes)
+    q = find_fermi_boundary(params, n_nodes=n_nodes).grid.q
     assert len(calls) <= 12
-    assert abs(eps_at_q(q, params, n_nodes)) <= 1e-12
-    assert eps_at_q(q * (1 - 1e-12), params, n_nodes) < 0 < eps_at_q(q * (1 + 1e-12), params, n_nodes)
+    assert abs(eps_at_q(q, params, n_nodes, {})) <= 1e-12
+    assert eps_at_q(q * (1 - 1e-12), params, n_nodes, {}) < 0 < eps_at_q(q * (1 + 1e-12), params, n_nodes, {})
 
 
 def test_fermi_boundary_rejects_a_pole_of_the_discretised_eps():
@@ -295,7 +296,7 @@ def test_extend_shares_one_kernel_matrix_bit_for_bit(dressed_11, order):
     solutions = (d.Z, d.eps_d1, d.phi_solution(1.7 * d.q))
     contour = default_contour(d).nodes_weights()[0]
     for z in (0.37 * d.q, d.grid.nodes, contour):
-        got = d.extend(z, order, solutions)
+        got = d.op.extend(z, order, solutions)
         assert len(got) == len(solutions)
         for value, sol in zip(got, solutions):
             ref = sol(z) if order == 0 else sol.d1(z)
@@ -303,16 +304,34 @@ def test_extend_shares_one_kernel_matrix_bit_for_bit(dressed_11, order):
             assert np.asarray(value).tobytes() == np.asarray(ref).tobytes()
 
 
+def test_each_extension_builds_one_kernel_matrix(monkeypatch, dressed_11):
+    """Solutions carry the set's operator, and each evaluation builds one w_k K(z - lam_k)."""
+    d = replace(dressed_11)  # its phi cache stays its own
+    nu = ShiftFn(d, (0.4 * d.q, 1.3 * d.q), ())
+    phases = [d.phi_solution(z) for z in nu.particles]
+    for sol in (d.p_d1, d.eps, d.eps_d1, *phases):
+        assert sol.op is d.op
+    calls, kernel = [], dressing.NystromOperator.weighted_kernel
+    monkeypatch.setattr(dressing.NystromOperator, "weighted_kernel",
+                        lambda op, z, order: calls.append(order) or kernel(op, z, order))
+    scan = np.linspace(-6.0, 6.0, 4001)
+    for evaluate in (lambda: nu(0.3), lambda: nu.d1(0.3), lambda: u_d1(scan, 0.2, d),
+                     lambda: d.p_d1(0.3)):
+        calls.clear()
+        evaluate()
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("order, bound", [(0, 1.1), (1, 2.1)])
 def test_weighted_kernel_fills_one_buffer(dressed_11, order, bound):
     # the 4001-point saddle scan: the difference array becomes the result, and
     # K' needs one more array of that size for its denominator
     z = np.linspace(-6.0, 6.0, 4001)
-    sol = dressed_11.p_d1
+    op = dressed_11.op
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        kzw = sol.weighted_kernel(z, order)
+        kzw = op.weighted_kernel(z, order)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

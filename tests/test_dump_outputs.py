@@ -1,5 +1,6 @@
-"""Smoke test of scripts/dump_outputs.py on one coupling of its grid."""
+"""scripts/dump_outputs.py: one coupling line by line, the full grid by its digest."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from golden_diff import golden_mismatch
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "dump_outputs.py"
 GOLDEN = Path(__file__).parent / "data" / "dump_c4.golden"
+DIGEST = Path(__file__).parent / "data" / "dump_outputs.sha256"
 
 
 @pytest.fixture(scope="module")
@@ -33,3 +35,13 @@ def test_one_coupling_dumps_every_reported_number(dump):
     assert len(lines) == 1 + sum(1 + 16 + 2 * (3 if r < 1.0 else 2) + 3 for r in dump.RATIOS)
     text, expected = "".join(line + "\n" for line in lines), GOLDEN.read_text()
     assert text == expected, golden_mismatch(text, expected)
+
+
+def test_full_dump_matches_its_digest(dump):
+    text = "".join(line + "\n" for line in dump.dump_lines())
+    got, want = hashlib.sha256(text.encode()).hexdigest(), DIGEST.read_text().split()[0]
+    assert got == want, (
+        f"the {text.count(chr(10))}-line dump has SHA-256 {got}, {DIGEST.name} holds {want}. "
+        "To find the lines that moved, run `PYTHONPATH=src python scripts/dump_outputs.py "
+        "> new.txt` here and `> old.txt` in a checkout of the commit that wrote the digest, "
+        "then `cmp old.txt new.txt` and `diff old.txt new.txt`.")

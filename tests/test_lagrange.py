@@ -89,5 +89,3 @@ def test_dimension_guard():
     trio = [lambda a, b, c: 0.1, lambda a, b, c: 0.1, lambda a, b, c: 0.1]
     with pytest.raises(ValueError):
         lagrange_series(trio, lambda a, b, c: 1.0, max_order=2)
-    with pytest.raises(ValueError):
-        lagrange_series([lambda a: 0.1 * a], np.exp, max_order=2, radii=(1.0, 1.0))
