@@ -87,7 +87,7 @@ print(f"  our exp(barnes_g_log) = {np.exp(barnes_g_log(0.5)):.18f}")
 
 print("\n== Cauchy transform closed form:  C[1](i y) at q=1, y=1  ->  1/4 ==")
 grid = QuadGrid.build(96, 1.0)
-val = cauchy_transform(lambda m: np.ones_like(m), 1j, grid)
+val = cauchy_transform(np.ones(grid.n_nodes), grid, 1j)[0]
 print(f"  numeric = {val}   (expected 0.25 exactly)")
 
 print("\n== C0[nu==1] = ln(1 + 4 q^2/c^2) ==")

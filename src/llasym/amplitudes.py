@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dressing import DressedSet, QuadGrid
+from .dressing import STRIP, DressedSet, QuadGrid
 from .excitations import TERMS, ShiftFn, active_terms, ledger_exponents, special_shift
 from .model import lieb_kernel
-from .specfun import barnes_g_log, c0_double_integral, cauchy_segment, gamma, log_kappa
+from .specfun import barnes_g_log, c0_double_integral, cauchy_transform, gamma, log_kappa
 
 
 CONTOUR_NODES = 256  # trapezoid nodes of the default contour
@@ -54,7 +54,7 @@ class ContourSpec:
 
     semi_major: float
     semi_minor: float
-    n_nodes: int = CONTOUR_NODES
+    n_nodes: int
 
     def validate(self, q: float, c: float) -> None:
         if self.semi_major <= q * (1.0 + 1e-3):
@@ -62,9 +62,9 @@ class ContourSpec:
                 f"semi_major {self.semi_major} too close to q = {q}: the contour must "
                 "enclose [-q, q] with margin"
             )
-        if not (0 < self.semi_minor < 0.25 * c):
+        if not (0 < self.semi_minor < STRIP * c):
             raise ValueError(
-                f"semi_minor {self.semi_minor} outside (0, c/4) = (0, {0.25 * c})"
+                f"semi_minor {self.semi_minor} outside (0, c/4) = (0, {STRIP * c})"
             )
 
     def nodes_weights(self):
@@ -88,11 +88,11 @@ def default_contour(dressed: DressedSet, n_nodes: int = CONTOUR_NODES) -> Contou
 # boundary functionals
 # ----------------------------------------------------------------------
 
-def _resonance_factor(nu_val: float, sign: int) -> complex:
-    """1 / (e^{sign * 2 i pi nu} - 1) with a pole guard."""
-    den = np.exp(sign * 2j * np.pi * nu_val) - 1.0
+def _resonance_factor(nu_val: float) -> complex:
+    """1 / (e^{-2 i pi nu} - 1) with a pole guard."""
+    den = np.exp(-2j * np.pi * nu_val) - 1.0
     if abs(den) < _EDGE_RESONANCE_TOL:
-        raise ResonanceError(f"e^({sign:+d} 2 i pi nu) - 1 = {den} at nu = {nu_val}")
+        raise ResonanceError(f"e^(-2 i pi nu) - 1 = {den} at nu = {nu_val}")
     return 1.0 / den
 
 
@@ -104,7 +104,7 @@ def functional_Aplus(nu: ShiftFn, dressed: DressedSet, lk_q: complex) -> complex
     pref = -2.0 * q * np.exp(-2.0 * lk_q)
     pow_ = (2.0 * q * float(dressed.p_d1(q))) ** (2.0 * nq + 1.0)
     gammas = gamma(1.0 + nq) / gamma(-nq)
-    return complex(pref / pow_ * gammas * _resonance_factor(nq, -1))
+    return complex(pref / pow_ * gammas * _resonance_factor(nq))
 
 
 def functional_Aminus(nu: ShiftFn, dressed: DressedSet, lk_mq: complex) -> complex:
@@ -115,7 +115,7 @@ def functional_Aminus(nu: ShiftFn, dressed: DressedSet, lk_mq: complex) -> compl
     pref = -2.0 * q * np.exp(-2.0 * lk_mq)
     gammas = gamma(1.0 - nmq) / gamma(nmq)
     pow_ = (2.0 * q * float(dressed.p_d1(-q))) ** (2.0 * nmq - 1.0)
-    return complex(pref * gammas * pow_ * _resonance_factor(nmq, -1))
+    return complex(pref * gammas * pow_ * _resonance_factor(nmq))
 
 
 def functional_A0(nu: ShiftFn, dressed: DressedSet, lambda0: float) -> complex:
@@ -215,15 +215,13 @@ def smooth_part_G(
     nu_grid = np.asarray(nu(grid.nodes), dtype=float)
 
     # prefactors built from Cauchy transforms at q + e ic, mu + e ic
-    def c_transform(z):
-        return cauchy_segment(nu_grid, grid, z) / (2j * np.pi)
-
-    log_pref = -2j * np.pi * np.sum(c_transform(np.array([q + 1j * c, q - 1j * c])))
+    log_pref = -2j * np.pi * np.sum(cauchy_transform(nu_grid, grid, [q + 1j * c, q - 1j * c]))
     if pair is not None:
         for eps in (+1.0, -1.0):
             log_pref += np.log((mh - q + eps * 1j * c) / (mp - q + eps * 1j * c))
             log_pref += 2j * np.pi * (
-                c_transform(mh + eps * 1j * c) - c_transform(mp + eps * 1j * c)
+                cauchy_transform(nu_grid, grid, mh + eps * 1j * c)
+                - cauchy_transform(nu_grid, grid, mp + eps * 1j * c)
             )[0]
     log_pref += c0_double_integral(nu, grid, c)
     if pair is not None:
@@ -233,9 +231,8 @@ def smooth_part_G(
     # Fredholm determinants on the contour
     omega, w = contour.nodes_weights()
     nu_omega = np.asarray(nu(omega), dtype=complex)
-    c2_omega = 2j * np.pi * c_transform(omega)
-    c2_up = 2j * np.pi * c_transform(omega + 1j * c)
-    c2_dn = 2j * np.pi * c_transform(omega - 1j * c)
+    c2_omega, c2_up, c2_dn = (2j * np.pi * cauchy_transform(nu_grid, grid, z)
+                              for z in (omega, omega + 1j * c, omega - 1j * c))
 
     res_m = np.exp(-2j * np.pi * nu_omega) - 1.0
     res_p = np.exp(2j * np.pi * nu_omega) - 1.0

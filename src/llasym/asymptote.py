@@ -56,7 +56,7 @@ class RatioMismatchError(ValueError):
 
 
 class RhoOverflowError(ValueError):
-    """A term of rho(x, t), or their sum, overflows at the evaluation point (tiny x)."""
+    """A term of rho(x, t), or their sum, overflows at the evaluation point (tiny or huge x)."""
 
 
 @dataclass
@@ -152,24 +152,19 @@ class ExpansionReport:
                               self.ratio_t_over_x)
 
 
-def assemble_expansion(
-    params_or_dressed,
-    ratio_t_over_x: float,
-    max_abs_ell: int = MAX_ABS_ELL,
-    contour: ContourSpec | None = None,
-) -> ExpansionReport:
-    """Build the term table at fixed ratio t/x > 0.
+def assemble_expansion(params_or_dressed, ratio_t_over_x: float) -> ExpansionReport:
+    """Build the term table at fixed ratio t/x > 0 on the default contour.
 
     The saddle term is active only in the space-like regime; in the time-like
     regime it is listed inactive with no amplitude.  Harmonics up to |l+-| <=
-    max_abs_ell are appended with amplitude None, never summed.  Parameters
+    MAX_ABS_ELL are appended with amplitude None, never summed.  Parameters
     are dressed at `dress_all`'s default node count.
     """
     if isinstance(params_or_dressed, DressedSet):
         dressed = params_or_dressed
     else:
         dressed = dress_all(params_or_dressed)
-    report = ExpansionReport(dressed, ratio_t_over_x, max_abs_ell, contour)
+    report = ExpansionReport(dressed, ratio_t_over_x)
     report.terms, report.harmonics  # every stage runs here, so evaluate_rho only sums
     return report
 
@@ -231,7 +226,7 @@ def evaluate_rho(report: ExpansionReport, x: float, t: float) -> RhoValue:
             contrib = pref * osc * term.amplitude * decay
             total += contrib
             moduli[term.label] = float(abs(contrib))
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:  # cmath.exp of an infinite phase: ValueError
         raise RhoOverflowError(f"rho overflows at (x, t) = ({x}, {t}): {exc}") from None
     if not cmath.isfinite(total):
         raise RhoOverflowError(f"rho is not finite at (x, t) = ({x}, {t}): {total}")

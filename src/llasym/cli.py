@@ -135,13 +135,15 @@ _READERS = {
 
 
 def load_config_file(path: str) -> dict:
-    """Flat key=value lines; '#' starts a comment; blank lines ignored."""
+    """Flat key=value lines; '#' starts a comment; blank lines ignored; a key
+    given twice is an error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     raw: dict = {}
+    first: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -149,7 +151,9 @@ def load_config_file(path: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, val = (s.strip() for s in stripped.split("=", 1))
-        raw[key] = val
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeated, first on line {first[key]}")
+        raw[key], first[key] = val, lineno
     return raw
 
 

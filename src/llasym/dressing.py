@@ -55,6 +55,7 @@ from .model import (
 
 
 N_NODES = 96  # Gauss-Legendre nodes of a dressed set
+STRIP = 0.25  # complex extension points and contours keep |Im z| <= STRIP * c
 _POLE_TOL = 1e-10  # |eps(q)|/h above this at the closed bracket is a pole, not a root
 
 
@@ -93,9 +94,9 @@ def _check_strip(z, c: float) -> None:
     z = np.asarray(z)
     if not np.isrealobj(z):
         im = np.max(np.abs(z.imag)) if z.size else 0.0
-        if im > 0.25 * c:
+        if im > STRIP * c:
             raise StripError(
-                f"Nystrom extension restricted to |Im z| <= c/4 = {0.25 * c}; got {im}"
+                f"Nystrom extension restricted to |Im z| <= c/4 = {STRIP * c}; got {im}"
             )
 
 

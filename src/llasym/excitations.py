@@ -55,6 +55,7 @@ SPACE_LIKE = "space-like"
 TIME_LIKE = "time-like"
 
 MAX_ABS_ELL = 2  # the harmonic ladder's default bound |l+-| <= MAX_ABS_ELL
+N_SCAN = 4001  # samples of u' in the saddle's sign-change scan
 
 # label -> (shift and amplitude kind, ledger pair (l+, l-)) of each explicit term
 TERMS = {
@@ -146,25 +147,23 @@ def special_shift(kind: str, dressed: DressedSet, lambda0: float | None = None) 
 # u(lam) = p(lam) - (t/x) eps(lam) and its saddle point
 # ----------------------------------------------------------------------
 
-def u_combination(lam, ratio_t_over_x: float, dressed: DressedSet, method: str = "direct"):
-    """u(lam) = p(lam) - (t/x) eps(lam).
+def u_combination(lam, ratio_t_over_x: float, dressed: DressedSet):
+    """u(lam) = p(lam) - (t/x) eps(lam), from the dressed solves."""
+    return dressed.p(lam) - ratio_t_over_x * dressed.eps(lam)
 
-    method="direct" evaluates the dressed solves; method="integral" uses the
-    equivalent representation u(lam) = u0(lam) - int_{-q}^{q} u0'(mu) phi(mu, lam) dmu
-    (first argument of phi integrated).  The two must agree.
-    """
-    if method == "direct":
-        return dressed.p(lam) - ratio_t_over_x * dressed.eps(lam)
-    if method == "integral":
-        g = dressed.grid
-        lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-        u0p = 1.0 - 2.0 * ratio_t_over_x * g.nodes
-        out = np.empty_like(lam_arr)
-        for i, z in enumerate(lam_arr):
-            phi_col = dressed.phi(g.nodes, z)
-            out[i] = bare_u0(z, ratio_t_over_x, dressed.params) - np.dot(g.weights * u0p, phi_col)
-        return out[0] if np.ndim(lam) == 0 else out
-    raise ValueError(f"unknown method {method!r}")
+
+def u_integral(lam, ratio_t_over_x: float, dressed: DressedSet):
+    """u(lam) = u0(lam) - int_{-q}^{q} u0'(mu) phi(mu, lam) dmu (first argument of
+    phi integrated): a route to u independent of p and eps, which must agree
+    with `u_combination`."""
+    g = dressed.grid
+    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
+    u0p = 1.0 - 2.0 * ratio_t_over_x * g.nodes
+    out = np.empty_like(lam_arr)
+    for i, z in enumerate(lam_arr):
+        phi_col = dressed.phi(g.nodes, z)
+        out[i] = bare_u0(z, ratio_t_over_x, dressed.params) - np.dot(g.weights * u0p, phi_col)
+    return out[0] if np.ndim(lam) == 0 else out
 
 
 def u_d1(lam, ratio_t_over_x: float, dressed: DressedSet):
@@ -179,11 +178,11 @@ def u_d2(lam, ratio_t_over_x: float, dressed: DressedSet):
     return p_d2 - ratio_t_over_x * eps_d2
 
 
-def find_saddle(ratio_t_over_x: float, dressed: DressedSet, n_scan: int = 4001):
+def find_saddle(ratio_t_over_x: float, dressed: DressedSet):
     """Unique lam0 with u'(lam0) = 0, u''(lam0) < 0; returns (lam0, regime).
 
-    Sign-change scan on [-s, s] with s = max(5q, x/t), which brackets the
-    bare saddle x/(2t), followed by Newton polish to
+    Sign-change scan of N_SCAN samples on [-s, s] with s = max(5q, x/t),
+    which brackets the bare saddle x/(2t), followed by Newton polish to
     |u'(lam0)| < 1e-10.  Sign changes are counted between consecutive
     nonzero samples, so a sample on which u' is exactly 0 is one root, and
     Newton starts from it.  Errors: NoSaddleError / MultipleSaddlesError /
@@ -193,7 +192,7 @@ def find_saddle(ratio_t_over_x: float, dressed: DressedSet, n_scan: int = 4001):
         raise ValueError("saddle search needs t/x > 0")
     q = dressed.q
     scan_range = max(5.0 * q, 1.0 / ratio_t_over_x)
-    grid = np.linspace(-scan_range, scan_range, n_scan)
+    grid = np.linspace(-scan_range, scan_range, N_SCAN)
     vals = u_d1(grid, ratio_t_over_x, dressed)
     signs = np.sign(vals)
     nonzero = np.flatnonzero(signs)

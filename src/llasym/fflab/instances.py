@@ -20,7 +20,7 @@ class AffineCounting:
     """Counting function xi(z) = slope*z + offset with exact inverse."""
 
     slope: float
-    offset: float = 0.0
+    offset: float
 
     def __call__(self, z):
         return self.slope * z + self.offset
@@ -42,7 +42,7 @@ class NuFunction:
     """
 
     kind: str
-    amp: float = 0.1
+    amp: float
 
     def __post_init__(self):
         if self.kind not in ("const", "gauss", "rational"):

@@ -20,6 +20,7 @@ import numpy as np
 
 _N_SAMPLE = 48  # points per circle of the torus where |phi_j| < 1 is checked
 _FIXED_POINT_TOL = 1e-14  # step size at which the fixed-point iteration has converged
+_MAX_ITER = 1000  # fixed-point steps allowed before FixedPointError
 
 
 class ContractionError(ValueError):
@@ -77,18 +78,18 @@ def lagrange_series(phis, f, max_order: int) -> np.ndarray:
     return np.cumsum(order_sum)
 
 
-def lagrange_closed_form(phis, f, max_iter: int = 1000) -> complex:
+def lagrange_closed_form(phis, f) -> complex:
     """f(z)/det(I - Dphi)(z) at the fixed point z_j = phi_j(z)."""
     s = len(phis)
     _check_contraction(phis)
 
     z = np.zeros(s, dtype=complex)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         z, z_old = np.array([complex(phi(*z)) for phi in phis]), z
         if np.max(np.abs(z - z_old)) < _FIXED_POINT_TOL:
             break
     else:
-        raise FixedPointError(f"no fixed point after {max_iter} iterations")
+        raise FixedPointError(f"no fixed point after {_MAX_ITER} iterations")
 
     # Jacobian by Cauchy quadrature on small circles around the fixed point
     m = 32

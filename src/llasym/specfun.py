@@ -6,7 +6,7 @@
 * log Barnes G via the Taylor series of ln G(1+z) on |z| <= 1/2 plus the
   recurrence G(z+1) = Gamma(z) G(z),
 * the log of the regularisation kappa[nu](lam) = exp{-int (nu(lam)-nu(mu))/(lam-mu) dmu},
-* the Cauchy transform C[nu](lam) = (2 i pi)^{-1} int nu(mu)/(mu-lam) dmu,
+* the Cauchy transform C[f](z) = (2 i pi)^{-1} int f(mu)/(mu-z) dmu from f's grid values,
 * the double integral C0[nu] = -int int nu(lam) nu(mu) (lam - mu - ic)^{-2}.
 
 All integrals are over [-q, q] on the Gauss-Legendre grid of the dressed set.
@@ -264,44 +264,30 @@ def log_kappa(nu, lam, grid: QuadGrid) -> complex:
     quadrature node comes within 1e-8 of lam.
     """
     lam = complex(lam) if np.iscomplexobj(np.asarray(lam)) else float(lam)
-    nu_lam = nu(lam)
     diff = lam - grid.nodes
     near = np.abs(diff) < 1e-8
-    quot = np.empty(grid.n_nodes, dtype=complex)
+    diff[near] = 1.0
+    # nu(grid.nodes) itself: a shift function returns its memoised node values
+    quot = np.asarray((nu(lam) - nu(grid.nodes)) / diff, dtype=complex)
     if np.any(near):
-        quot[~near] = (nu_lam - nu(grid.nodes[~near])) / diff[~near]
         quot[near] = nu.d1(lam)
-    else:  # nu(grid.nodes) itself: a shift function returns its memoised node values
-        quot[:] = (nu_lam - nu(grid.nodes)) / diff
     return complex(-np.dot(grid.weights, quot))
 
 
-def cauchy_segment(values_on_grid: np.ndarray, grid: QuadGrid, z) -> np.ndarray:
-    """int_{-q}^{q} f(mu) / (mu - z) dmu at each z, from f's values on the grid.
+def cauchy_transform(values_on_grid: np.ndarray, grid: QuadGrid, z) -> np.ndarray:
+    """C[f](z) = (2 i pi)^{-1} int_{-q}^{q} f(mu) / (mu - z) dmu from f's grid values.
 
-    Vectorized over z; the points must stay away from the segment [-q, q]
-    (`cauchy_transform` checks this for one point).
+    Vectorised over z (a scalar z gives an array of one); ValueError if a point
+    lies within 1e-3 q of the segment [-q, q].
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
+    q = grid.q
+    dist = np.min(np.abs(z - np.clip(z.real, -q, q)))  # to the nearest point of [-q, q]
+    if dist < 1e-3 * q:
+        raise ValueError(f"cauchy_transform: a point lies {dist:.4g} from [-q, q], within 1e-3 q")
     quot = grid.nodes[None, :] - z[:, None]
     np.divide((grid.weights * values_on_grid)[None, :], quot, out=quot)
-    return quot.sum(axis=1)
-
-
-def cauchy_transform(nu, lam, grid: QuadGrid):
-    """C[nu](lam) = (2 i pi)^{-1} int_{-q}^{q} nu(mu) / (mu - lam) dmu.
-
-    lam must stay at least 1e-3 q away from the segment [-q, q].
-    """
-    lam = complex(lam)
-    q = grid.q
-    if -q <= lam.real <= q:
-        dist = abs(lam.imag)
-    else:
-        dist = min(abs(lam - q), abs(lam + q))
-    if dist < 1e-3 * q:
-        raise ValueError(f"cauchy_transform: lam = {lam} within 1e-3 q of [-q, q]")
-    return cauchy_segment(np.asarray(nu(grid.nodes)), grid, lam)[0] / (2j * np.pi)
+    return quot.sum(axis=1) / (2j * np.pi)
 
 
 def c0_double_integral(nu, grid: QuadGrid, c: float) -> complex:

@@ -28,7 +28,7 @@ from llasym.amplitudes import (
     functional_B,
     smooth_part_G,
 )
-from llasym.specfun import barnes_g_log, log_kappa
+from llasym.specfun import barnes_g_log, cauchy_transform, log_kappa
 
 RATIO = 0.2
 
@@ -111,9 +111,9 @@ def test_saddle_amplitude_only_where_active(dressed_11):
 def test_contour_validation(dressed_11):
     q, c = dressed_11.q, dressed_11.params.c
     with pytest.raises(ValueError):
-        ContourSpec(0.9 * q, 0.2).validate(q, c)  # does not enclose [-q, q]
+        ContourSpec(0.9 * q, 0.2, 256).validate(q, c)  # does not enclose [-q, q]
     with pytest.raises(ValueError):
-        ContourSpec(1.5 * q, 0.3 * c).validate(q, c)  # leaves the kernel strip
+        ContourSpec(1.5 * q, 0.3 * c, 256).validate(q, c)  # leaves the kernel strip
 
 
 def test_tonks_empty_amplitude_closed_form(dressed_tonks):
@@ -134,6 +134,20 @@ def test_smooth_part_rejects_a_hole_outside_the_segment(dressed_11):
     nu = special_shift("minus_q", d)
     with pytest.raises(ValueError, match="outside"):
         smooth_part_G(nu, d, (-d.q, 1.01 * d.q), default_contour(d))
+
+
+def test_smooth_part_takes_each_cauchy_transform_from_specfun(monkeypatch, dressed_11):
+    """G_0 transforms at q +- ic (one call) and on the contour and its two
+    shifts (three); a pair adds its particle and its hole at +-ic (four)."""
+    d = dressed_11
+    calls = []
+    monkeypatch.setattr(amplitudes, "cauchy_transform",
+                        lambda *a: calls.append(a) or cauchy_transform(*a))
+    smooth_part_G(special_shift("empty", d), d, None, default_contour(d))
+    assert len(calls) == 4
+    calls.clear()
+    smooth_part_G(special_shift("minus_q", d), d, (-d.q, d.q), default_contour(d))
+    assert len(calls) == 8
 
 
 def _edge_log_kappas(nu, d) -> tuple:

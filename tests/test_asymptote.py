@@ -37,14 +37,16 @@ RATIO = 0.2
 
 @pytest.fixture(scope="module")
 def report_space(dressed_11):
-    return assemble_expansion(dressed_11, RATIO, max_abs_ell=2,
-                              contour=default_contour(dressed_11, 256))
+    report = ExpansionReport(dressed_11, RATIO, 2, default_contour(dressed_11, 256))
+    report.terms, report.harmonics
+    return report
 
 
 @pytest.fixture(scope="module")
 def report_time(dressed_11):
-    return assemble_expansion(dressed_11, 2.0, max_abs_ell=2,
-                              contour=default_contour(dressed_11, 256))
+    report = ExpansionReport(dressed_11, 2.0, 2, default_contour(dressed_11, 256))
+    report.terms, report.harmonics
+    return report
 
 
 def test_term_table_cross_module_consistency(report_space, dressed_11):

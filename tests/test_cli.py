@@ -103,6 +103,7 @@ def test_out_writes_file_and_keeps_stdout_empty(tmp_path):
     (["contour_nodes = 100000"], "need 16 <= contour_nodes <= 2048"),
     (["max_abs_ell = -1"], "need 0 <= max_abs_ell <= 50"),
     (["max_abs_ell = 100000"], "need 0 <= max_abs_ell <= 50"),
+    (["c = 1.0", "c = 2.0"], "repeated"),
 ])
 def test_config_errors_exit_2(tmp_path, lines, fragment):
     cfg = tmp_path / "bad.cfg"
@@ -144,6 +145,16 @@ def test_tiny_x_exits_2(tmp_path, point):
     assert res.stdout == ""
     assert res.stderr.startswith("error (")
     assert "Traceback" not in res.stderr
+
+
+def test_huge_x_exits_2(tmp_path):
+    # the two_pF phase x * (-2 pF) is -1.9e308 at x = 4e307: beyond the largest double
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("ratio_t_over_x = 0.2\neval_points = 4e307:8e306\n")
+    res = run_cli("asymptotics", "--config", str(cfg))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error (RhoOverflowError)")
 
 
 def test_no_file_written_on_error(tmp_path):

@@ -16,6 +16,7 @@ from llasym.excitations import (
     u_combination,
     u_d1,
     u_d2,
+    u_integral,
 )
 
 
@@ -81,14 +82,15 @@ def test_saddle_regimes(dressed_11):
     assert reg_t == TIME_LIKE and abs(lam0_t) < dressed_11.q
 
 
-def test_saddle_degenerate_at_light_cone_ratio(dressed_11):
+def test_saddle_degenerate_at_light_cone_ratio(monkeypatch, dressed_11):
     # at t/x = 1/vF the stationary point sits exactly on the Fermi boundary
     with pytest.raises(DegenerateSaddleError):
         find_saddle(1.0 / dressed_11.vF, dressed_11)
     # with 4000 scan points no sample lands on q, so the sign change is
     # bracketed by two nonzero samples instead of sitting on an exact zero
+    monkeypatch.setattr(excitations, "N_SCAN", 4000)
     with pytest.raises(DegenerateSaddleError):
-        find_saddle(1.0 / dressed_11.vF, dressed_11, n_scan=4000)
+        find_saddle(1.0 / dressed_11.vF, dressed_11)
 
 
 def test_saddle_requires_positive_ratio(dressed_11):
@@ -125,9 +127,8 @@ def test_u_combination_integral_matches_direct(dressed_11):
     q = dressed_11.q
     lam = q * np.array([-2.0, -0.5, 0.3, 0.9, 1.5, 3.0])
     direct = u_combination(lam, 0.2, dressed_11)
-    assert np.allclose(u_combination(lam, 0.2, dressed_11, method="integral"), direct,
-                       rtol=1e-12, atol=0.0)
-    assert float(u_combination(lam[4], 0.2, dressed_11, method="integral")) == pytest.approx(
+    assert np.allclose(u_integral(lam, 0.2, dressed_11), direct, rtol=1e-12, atol=0.0)
+    assert float(u_integral(lam[4], 0.2, dressed_11)) == pytest.approx(
         direct[4], rel=1e-12)
 
 

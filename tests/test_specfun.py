@@ -174,19 +174,37 @@ def test_cauchy_transform_constant():
     q = GRID.q
     for lam in (0.3 + 0.8j, 2.1 + 0.0j, -0.4 - 1.3j):
         ref = np.log((q - lam) / (-q - lam)) / (2j * np.pi)
-        assert cauchy_transform(_Const(1.0), lam, GRID) == pytest.approx(ref, rel=1e-10)
+        val = cauchy_transform(_Const(1.0)(GRID.nodes), GRID, lam)[0]
+        assert val == pytest.approx(ref, rel=1e-10)
 
 
 def test_cauchy_transform_linear():
     q = GRID.q
     lam = 0.5 + 0.6j
     ref = (2.0 * q + lam * np.log((q - lam) / (-q - lam))) / (2j * np.pi)
-    assert cauchy_transform(_Linear(1.0), lam, GRID) == pytest.approx(ref, rel=1e-10)
+    val = cauchy_transform(_Linear(1.0)(GRID.nodes), GRID, lam)[0]
+    assert val == pytest.approx(ref, rel=1e-10)
 
 
 def test_cauchy_transform_distance_guard():
+    # one point of the array is 1e-5 above the segment
     with pytest.raises(ValueError):
-        cauchy_transform(_Const(1.0), 0.2 + 1e-5j, GRID)
+        cauchy_transform(_Const(1.0)(GRID.nodes), GRID, [2.0j, 0.2 + 1e-5j, 3.0])
+
+
+def test_cauchy_transform_on_contour_like_points():
+    """An array of points gives each point's bits, and C[1] matches
+    log((q - z)/(-q - z))/(2 i pi) on the default contour's ellipse (c = 1) and
+    on its shifts by +-ic, where the amplitudes evaluate it."""
+    q, c = GRID.q, 1.0
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    omega = 1.5 * q * np.cos(theta) + 1j * min(0.22 * c, 0.75 * q) * np.sin(theta)
+    ones = np.ones(GRID.n_nodes)
+    for z in (omega, omega + 1j * c, omega - 1j * c):
+        together = cauchy_transform(ones, GRID, z)
+        assert np.array_equal(together, [cauchy_transform(ones, GRID, zk)[0] for zk in z])
+        ref = np.log((q - z) / (-q - z)) / (2j * np.pi)
+        assert np.max(np.abs(together - ref)) < 1e-12
 
 
 def test_c0_constant_closed_form():
