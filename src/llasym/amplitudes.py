@@ -22,6 +22,13 @@ All determinants are evaluated on an axis-aligned ellipse around [-q, q]
 (counterclockwise, trapezoid rule in the angle, complex weights
 w_k = dw/dtheta * dtheta).  The ellipse must stay inside the analyticity
 strip |Im z| <= c/4 and keep a margin from the segment [-q, q].
+
+Only det(I + V) is factorised: det(I + Vbar) is its complex conjugate.  The
+shift function of real particles and holes is real on the real axis, so
+nu(conj w) = conj nu(w), and so are the kernel and the Cauchy transforms.
+The ellipse is symmetric under w -> conj w, which reverses its orientation
+(w_{n-k} = -conj w_k).  Vbar at the mirrored nodes is then the entrywise
+conjugate of V, a permutation similarity.
 """
 from __future__ import annotations
 
@@ -173,7 +180,6 @@ def fredholm_det_contour(prefactor: np.ndarray, kernel_matrix: np.ndarray, weigh
     """det(I + V) with V(w_j, w_k) = prefactor(w_j) kernel(w_j, w_k), measure dw."""
     m = prefactor[:, None] * kernel_matrix
     m *= weights
-    m += 0.0  # the zeros of I: 0.0 + (-0.0) is +0.0, so the bits are those of I + V
     m.flat[::len(weights) + 1] += 1.0
     return complex(np.linalg.det(m))
 
@@ -202,10 +208,17 @@ def smooth_part_G(
                 e^{C[2 i pi nu](w) - C[2 i pi nu](w-ic)} K(w-w') / (e^{+2 i pi nu(w)} - 1).
 
     The hole must lie inside the contour; the particle need not be enclosed.
+    Since nu, K and the contour are symmetric under w -> conj w, Vbar is V
+    conjugated at the mirrored nodes and det(I + Vbar) = conj det(I + V): only
+    det(I + V) is computed.  That needs nu real on the real axis, so a shift
+    function with a non-real particle or hole raises ValueError.
     """
     params = dressed.params
     q, c = dressed.q, params.c
     contour.validate(q, c)
+    if any(np.imag(z) != 0 for z in (*nu.particles, *nu.holes)):
+        raise ValueError(f"det(I + Vbar) = conj det(I + V) needs real particles and holes, "
+                         f"got particles {nu.particles}, holes {nu.holes}")
     if pair is not None:
         mp, mh = pair
         if abs(mh) > q + 1e-12:
@@ -228,11 +241,11 @@ def smooth_part_G(
         log_pref += np.log((mp - mh - 1j * c) * (mh - mp - 1j * c)
                            / ((mp - mp - 1j * c) * (mh - mh - 1j * c)))
 
-    # Fredholm determinants on the contour
+    # one Fredholm determinant on the contour: det(I + Vbar) is its conjugate
     omega, w = contour.nodes_weights()
     nu_omega = np.asarray(nu(omega), dtype=complex)
-    c2_omega, c2_up, c2_dn = (2j * np.pi * cauchy_transform(nu_grid, grid, z)
-                              for z in (omega, omega + 1j * c, omega - 1j * c))
+    c2_omega, c2_up = (2j * np.pi * cauchy_transform(nu_grid, grid, z)
+                       for z in (omega, omega + 1j * c))
 
     res_m = np.exp(-2j * np.pi * nu_omega) - 1.0
     res_p = np.exp(2j * np.pi * nu_omega) - 1.0
@@ -241,18 +254,15 @@ def smooth_part_G(
 
     kmat = omega[:, None] - omega[None, :]
     lieb_kernel(kmat, params, out=kmat)
-    dets = []
-    for eps, c2_shift, res in ((+1.0, c2_up, res_m), (-1.0, c2_dn, res_p)):  # V, then Vbar
-        ic = eps * 1j * c
-        rat = np.ones_like(omega)
-        if pair is not None:
-            rat = rat * (omega - mp) * (omega - mh + ic) / ((omega - mh) * (omega - mp + ic))
-        pre = (-eps / (2.0 * np.pi)) * (omega - q) / (omega - q + ic) * rat \
-            * np.exp(c2_omega - c2_shift) / res
-        dets.append(fredholm_det_contour(pre, kmat, w))
-    det_v, det_vbar = dets
+    ic = 1j * c
+    rat = np.ones_like(omega)
+    if pair is not None:
+        rat = rat * (omega - mp) * (omega - mh + ic) / ((omega - mh) * (omega - mp + ic))
+    pre = (-1.0 / (2.0 * np.pi)) * (omega - q) / (omega - q + ic) * rat \
+        * np.exp(c2_omega - c2_up) / res_m
+    det_v = fredholm_det_contour(pre, kmat, w)
 
-    return complex(np.exp(log_pref) * det_v * det_vbar / dressed.det_IK**2)
+    return complex(np.exp(log_pref) * det_v * np.conj(det_v) / dressed.det_IK**2)
 
 
 # ----------------------------------------------------------------------

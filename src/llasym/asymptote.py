@@ -39,6 +39,7 @@ from .excitations import (
     harmonic_table,
     ledger_exponents,
     ledger_shifts,
+    ledger_sides,
     u_combination,
     u_d2,
 )
@@ -63,10 +64,11 @@ class RhoOverflowError(ValueError):
 class ExpansionReport:
     """The expansion at one ratio t/x, computed stage by stage on first use.
 
-    dressed -> saddle -> shift_values -> exponents -> amplitudes -> terms, with
-    the harmonic ledger beside: reading `exponents` never assembles an amplitude,
-    and an error of a stage is raised by the first read that needs it.  A
-    contour of None is `default_contour(dressed)`.
+    dressed -> saddle -> sides -> shift_values -> exponents -> amplitudes ->
+    terms, with the harmonic ledger beside, built from the same sides and
+    u(lambda0): reading `exponents` never assembles an amplitude, and an error
+    of a stage is raised by the first read that needs it.  A contour of None
+    is `default_contour(dressed)`.
     """
 
     dressed: DressedSet
@@ -112,10 +114,16 @@ class ExpansionReport:
         return float(self.dressed.p_d1(self.lambda0))
 
     @cached_property
+    def sides(self) -> tuple:
+        """Z, phi(., -q), phi(., q) and phi(., lambda0) at +q and -q (`ledger_sides`):
+        the boundary values of every ledger pair's shift, explicit or harmonic."""
+        return ledger_sides(self.dressed, self.lambda0)
+
+    @cached_property
     def shift_values(self) -> dict:
         """ShiftValues D+- of each explicit term's ledger pair, by label."""
         pairs = [pair for _, pair in TERMS.values()]
-        return dict(zip(TERMS, ledger_shifts(pairs, self.dressed, self.lambda0)))
+        return dict(zip(TERMS, ledger_shifts(pairs, self.sides)))
 
     @cached_property
     def exponents(self) -> dict:
@@ -148,8 +156,10 @@ class ExpansionReport:
     @cached_property
     def harmonics(self) -> list:
         """The ledger rows |l+-| <= max_abs_ell beside the explicit terms, never summed."""
-        return harmonic_table(self.max_abs_ell, self.dressed, self.lambda0, self.regime,
-                              self.ratio_t_over_x)
+        uq, umq = (float(u_combination(lam, self.ratio_t_over_x, self.dressed))
+                   for lam in (self.q, -self.q))
+        return harmonic_table(self.max_abs_ell, self.regime, self.sides,
+                              (uq, umq, self.u_at_lambda0))
 
 
 def assemble_expansion(params_or_dressed, ratio_t_over_x: float) -> ExpansionReport:

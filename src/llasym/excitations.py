@@ -242,11 +242,16 @@ class ShiftValues(NamedTuple):
     at_minus_q: float
 
 
-def ledger_shifts(pairs, dressed: DressedSet, lambda0: float) -> list[ShiftValues]:
-    """D+- of each pair (l+, l-), by the formula of the module docstring."""
+def ledger_sides(dressed: DressedSet, lambda0: float) -> tuple:
+    """(Z, phi(., -q), phi(., q), phi(., lambda0)) at +q, then at -q: the eight
+    boundary values that every D+- of the ledger combines."""
     q = dressed.q
-    sides = [(float(dressed.Z(lam)), *(float(dressed.phi(lam, m)) for m in (-q, q, lambda0)))
-             for lam in (q, -q)]
+    return tuple((float(dressed.Z(lam)), *(float(dressed.phi(lam, m)) for m in (-q, q, lambda0)))
+                 for lam in (q, -q))
+
+
+def ledger_shifts(pairs, sides: tuple) -> list[ShiftValues]:
+    """D+- of each pair (l+, l-) from `ledger_sides`, by the formula of the module docstring."""
     return [
         ShiftValues(*(-0.5 * z - lm * phi_mq - (lp + 1) * phi_q + (lp + lm) * phi_0
                       for z, phi_mq, phi_q, phi_0 in sides))
@@ -284,24 +289,18 @@ class LedgerRow:
         return self.exponent_plus + self.exponent_minus + self.extra_power
 
 
-def harmonic_table(
-    max_abs_ell: int,
-    dressed: DressedSet,
-    lambda0: float,
-    regime: str,
-    ratio_t_over_x: float,
-) -> list[LedgerRow]:
+def harmonic_table(max_abs_ell: int, regime: str, sides: tuple, u_values: tuple) -> list[LedgerRow]:
     """All harmonics with |l+-| <= max_abs_ell and eta (l+ + l-) >= 0 except the
-    pairs of the active terms of TERMS, as inactive rows with amplitude None."""
+    pairs of the active terms of TERMS, as inactive rows with amplitude None,
+    from the boundary values `ledger_sides` and u_values = (u(q), u(-q), u(lam0))."""
     eta = 1 if regime == SPACE_LIKE else -1
     explicit = {pair for _, pair in active_terms(regime).values()}
     ells = range(-max_abs_ell, max_abs_ell + 1)
     pairs = [(lp, lm) for lp in ells for lm in ells
              if eta * (lp + lm) >= 0 and (lp, lm) not in explicit]
-    q = dressed.q
-    uq, umq, ul0 = (float(u_combination(lam, ratio_t_over_x, dressed)) for lam in (q, -q, lambda0))
+    uq, umq, ul0 = u_values
     return [
         LedgerRow(f"harmonic({lp:+d},{lm:+d})", lp, lm, lp * uq + lm * umq - (lp + lm) * ul0,
                   *ledger_exponents(nu, (lp, lm)))
-        for (lp, lm), nu in zip(pairs, ledger_shifts(pairs, dressed, lambda0))
+        for (lp, lm), nu in zip(pairs, ledger_shifts(pairs, sides))
     ]

@@ -13,6 +13,7 @@ import pytest
 
 from llasym import (
     ModelParams,
+    ShiftFn,
     amplitude,
     amplitudes,
     assemble_expansion,
@@ -137,17 +138,72 @@ def test_smooth_part_rejects_a_hole_outside_the_segment(dressed_11):
 
 
 def test_smooth_part_takes_each_cauchy_transform_from_specfun(monkeypatch, dressed_11):
-    """G_0 transforms at q +- ic (one call) and on the contour and its two
-    shifts (three); a pair adds its particle and its hole at +-ic (four)."""
+    """G_0 transforms at q +- ic (one call) and on the contour and its shift by
+    +ic (two); a pair adds its particle and its hole at +-ic (four)."""
     d = dressed_11
     calls = []
     monkeypatch.setattr(amplitudes, "cauchy_transform",
                         lambda *a: calls.append(a) or cauchy_transform(*a))
     smooth_part_G(special_shift("empty", d), d, None, default_contour(d))
-    assert len(calls) == 4
+    assert len(calls) == 3
     calls.clear()
     smooth_part_G(special_shift("minus_q", d), d, (-d.q, d.q), default_contour(d))
-    assert len(calls) == 8
+    assert len(calls) == 7
+
+
+def _det_vbar(nu, d, pair, contour) -> complex:
+    """det(I + Vbar) from its own kernel, as `smooth_part_G`'s docstring writes it:
+    +1/2pi (w-q)/(w-q-ic) [pair ratio at -ic] e^{C(w) - C(w-ic)} K / (e^{2 i pi nu} - 1)."""
+    q, c = d.q, d.params.c
+    omega, w = contour.nodes_weights()
+    nu_grid = np.asarray(nu(d.grid.nodes), dtype=float)
+    c2_omega, c2_dn = (2j * np.pi * cauchy_transform(nu_grid, d.grid, z)
+                       for z in (omega, omega - 1j * c))
+    ic = -1j * c
+    rat = np.ones_like(omega)
+    if pair is not None:
+        mp, mh = pair
+        rat = rat * (omega - mp) * (omega - mh + ic) / ((omega - mh) * (omega - mp + ic))
+    pre = (1.0 / (2.0 * np.pi)) * (omega - q) / (omega - q + ic) * rat \
+        * np.exp(c2_omega - c2_dn) / (np.exp(2j * np.pi * np.asarray(nu(omega), complex)) - 1.0)
+    kmat = amplitudes.lieb_kernel(omega[:, None] - omega[None, :], d.params)
+    return complex(np.linalg.det(np.eye(len(w)) + pre[:, None] * kmat * w[None, :]))
+
+
+@pytest.mark.parametrize("c", [0.9, 1.0, 4.0, 30.0])
+def test_vbar_determinant_is_the_conjugate_of_v(monkeypatch, c):
+    """det(I + Vbar) = conj det(I + V) on an even and an odd contour, for G_0,
+    the 2pF pair and a space-like saddle pair: `smooth_part_G` computes only
+    det(I + V)."""
+    d = dress_all(ModelParams(c, 1.0))
+    lam0, regime = find_saddle(RATIO, d)
+    assert regime == "space-like"
+    dets = []
+    det = amplitudes.fredholm_det_contour
+    monkeypatch.setattr(amplitudes, "fredholm_det_contour",
+                        lambda *a: dets.append(det(*a)) or dets[-1])
+    for n in (256, 255):
+        contour = default_contour(d, n)
+        for kind, pair in (("empty", None), ("minus_q", (-d.q, d.q)), ("saddle", (lam0, d.q))):
+            nu = special_shift(kind, d, lam0)
+            dets.clear()
+            smooth_part_G(nu, d, pair, contour)
+            assert len(dets) == 1, (kind, n)
+            ref = _det_vbar(nu, d, pair, contour)
+            assert abs(ref - np.conj(dets[0])) <= 1e-12 * abs(ref), (kind, n)
+
+
+def test_smooth_part_rejects_a_non_real_particle_or_hole(dressed_11):
+    # nu is real on the real axis only for real particles and holes; without
+    # that det(I + Vbar) is not conj det(I + V)
+    d = dressed_11
+    nu = ShiftFn(d, (1.5 * d.q + 0.01j,), ())
+    with pytest.raises(ValueError, match="real particles and holes"):
+        smooth_part_G(nu, d, None, default_contour(d))
+    nu = ShiftFn(d, (1.5 * d.q,), (0.5 * d.q,))
+    nu.holes = (0.5 * d.q + 0.01j,)  # past the constructor's range check
+    with pytest.raises(ValueError, match="real particles and holes"):
+        smooth_part_G(nu, d, None, default_contour(d))
 
 
 def _edge_log_kappas(nu, d) -> tuple:

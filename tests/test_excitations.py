@@ -13,6 +13,7 @@ from llasym.excitations import (
     find_saddle,
     harmonic_table,
     ledger_exponents,
+    ledger_sides,
     u_combination,
     u_d1,
     u_d2,
@@ -143,9 +144,15 @@ def _pairs(entries):
     return {(e.ell_plus, e.ell_minus) for e in entries}
 
 
+def _harmonics(d, ratio):
+    """harmonic_table with |l+-| <= 2 at the saddle of the ray, and that saddle."""
+    lam0, regime = find_saddle(ratio, d)
+    u_values = tuple(float(u_combination(lam, ratio, d)) for lam in (d.q, -d.q, lam0))
+    return harmonic_table(2, regime, ledger_sides(d, lam0), u_values), lam0
+
+
 def test_harmonic_exclusions_space_like(dressed_11):
-    lam0, regime = find_saddle(0.2, dressed_11)
-    entries = harmonic_table(2, dressed_11, lam0, regime, 0.2)
+    entries, _ = _harmonics(dressed_11, 0.2)
     pairs = _pairs(entries)
     assert (0, 0) not in pairs
     assert (-1, 1) not in pairs
@@ -154,8 +161,7 @@ def test_harmonic_exclusions_space_like(dressed_11):
 
 
 def test_harmonic_exclusions_time_like(dressed_11):
-    lam0, regime = find_saddle(2.0, dressed_11)
-    entries = harmonic_table(2, dressed_11, lam0, regime, 2.0)
+    entries, _ = _harmonics(dressed_11, 2.0)
     pairs = _pairs(entries)
     assert (0, 0) not in pairs
     assert (-1, 1) not in pairs
@@ -168,14 +174,10 @@ def test_harmonic_exponent_hand_check(dressed_11):
     # D+- built from Z, phi at the boundaries and the saddle
     d = dressed_11
     ratio = 0.2
-    lam0, regime = find_saddle(ratio, d)
+    entries, lam0 = _harmonics(d, ratio)
     q = d.q
     lp, lm = 1, -1
-    entry = next(
-        e
-        for e in harmonic_table(2, d, lam0, regime, ratio)
-        if (e.ell_plus, e.ell_minus) == (lp, lm)
-    )
+    entry = next(e for e in entries if (e.ell_plus, e.ell_minus) == (lp, lm))
 
     def delta_pm(sign):
         lam = sign * q
