@@ -3,10 +3,12 @@
 Run before freezing expected values into the test suite:
 
 * gamma and lgam (the Cephes ports) against mpmath on seeded samples from
-  every branch: relative error of Gamma, and of ln|Gamma| relative to
+  every branch inside their domains (Gamma on |x| <= 33, lgam on [-33, 13)) and
+  at the domains' edges: relative error of Gamma, and of ln|Gamma| relative to
   max(1, |ln Gamma|), each within GAMMA_TOL; the signs of lgam exact,
 * the zeta table of barnes_g_log: each literal the double nearest zeta(k),
-* barnes_g_log against mpmath.barnesg over a sweep of arguments,
+* barnes_g_log against mpmath.barnesg over a sweep up to 13.9, near the top of
+  its domain [-33, 14),
 * the closed form G(1/2) = 2^{1/24} e^{1/8} pi^{-1/4} A^{-3/2}
   (A = exp(1/12 - zeta'(-1)) the Glaisher constant),
 * closed forms of the Cauchy transform, C0 and kappa used as test oracles,
@@ -15,6 +17,7 @@ Run before freezing expected values into the test suite:
 """
 from __future__ import annotations
 
+import math
 import sys
 
 import mpmath as mp
@@ -24,6 +27,9 @@ sys.path.insert(0, "src")
 from llasym.dressing import QuadGrid
 from llasym.specfun import (
     _ZETA_TABLE,
+    GAMMA_MAX,
+    LGAM_MAX,
+    LGAM_MIN,
     barnes_g_log,
     c0_double_integral,
     cauchy_transform,
@@ -34,26 +40,30 @@ from llasym.specfun import (
 
 mp.mp.dps = 40
 GAMMA_TOL = 2e-15  # about 9 ulp; Cephes states a peak relative error of 2.3e-15
-# (lo, hi) of each branch of gamma and lgam; wide positive ranges are sampled log-uniformly
-GAMMA_BRANCHES = ((-1e-9, 1e-9), (1e-9, 2.0), (2.0, 13.0), (13.0, 1000.0), (1000.0, 1e8),
-                  (1e8, 1e300), (-33.0, 0.0), (33.0, 171.6), (-171.6, -33.0), (-1e4, -34.0))
+# (lo, hi) of each branch of gamma and lgam inside their domains, and the points
+# at the domains' edges (each function checked where its domain holds the point)
+GAMMA_BRANCHES = ((-1e-9, 1e-9), (1e-9, 2.0), (2.0, 13.0), (13.0, GAMMA_MAX), (-33.0, 0.0))
+EDGES = (math.nextafter(LGAM_MIN, 0.0), math.nextafter(LGAM_MAX, 0.0), LGAM_MAX, GAMMA_MAX)
 
 print("== gamma and lgam vs mpmath ==")
 worst_gamma = worst_lgam = 0.0
 wrong_signs = 0
-for lo, hi in GAMMA_BRANCHES:
+samples = []
+for lo, hi in GAMMA_BRANCHES:  # a wide positive range is sampled log-uniformly
     u = np.random.default_rng(20240817).random(200)
-    xs = lo * (hi / lo) ** u if lo > 0 and hi > 1e3 * lo else lo + (hi - lo) * u
-    for x in map(float, xs):
-        ref = mp.gamma(x) if abs(x) < 171.6 else None  # beyond: Gamma over- or underflows
-        if ref is not None:
-            worst_gamma = max(worst_gamma, float(abs((gamma(x) - ref) / ref)))
+    samples.append(lo * (hi / lo) ** u if lo > 0 and hi > 1e3 * lo else lo + (hi - lo) * u)
+for x in map(float, np.concatenate([*samples, EDGES])):
+    if abs(x) <= GAMMA_MAX:
+        ref = mp.gamma(x)
+        worst_gamma = max(worst_gamma, float(abs((gamma(x) - ref) / ref)))
+    if LGAM_MIN <= x < LGAM_MAX:
         log_abs, sign = lgam(x)
         ref_log = mp.re(mp.loggamma(x))
         worst_lgam = max(worst_lgam, float(abs(log_abs - ref_log) / max(1, abs(ref_log))))
         if x < 0 and sign != (-1) ** (int(mp.floor(-x)) + 1):  # Gamma's sign on (-n-1, -n)
             wrong_signs += 1
-print(f"  {len(GAMMA_BRANCHES)} branches x 200 samples, tolerance {GAMMA_TOL:.0e}")
+print(f"  {len(GAMMA_BRANCHES)} branches x 200 samples and {len(EDGES)} edge points, "
+      f"tolerance {GAMMA_TOL:.0e}")
 print(f"  gamma worst rel err: {worst_gamma:.2e}")
 print(f"  lgam worst rel err: {worst_lgam:.2e}")
 print(f"  lgam wrong signs: {wrong_signs}")
@@ -69,7 +79,7 @@ if max(worst_gamma, worst_lgam) > GAMMA_TOL or wrong_signs or nearest != len(_ZE
 print("\n== barnes_g_log vs mpmath ==")
 
 worst = 0.0
-for x in [0.05, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.7, 9.99, 50.3, 99.5]:
+for x in [0.05, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.7, 9.99, 13.9]:
     ours = barnes_g_log(x)
     ref = float(mp.log(mp.barnesg(x)))
     err = abs(ours - ref) / max(1.0, abs(ref))

@@ -49,7 +49,8 @@ EXIT_SADDLE = 3
 
 SADDLE_ERRORS = (NoSaddleError, MultipleSaddlesError, DegenerateSaddleError)
 # ValueError covers StripError, ResonanceError, NonFiniteAmplitudeError,
-# LightConeError, RatioMismatchError, RhoOverflowError and np.linalg.LinAlgError
+# LightConeError, RatioMismatchError, RhoOverflowError, np.linalg.LinAlgError and
+# a Gamma or ln G argument outside the domain of `specfun`
 SOLVER_ERRORS = (BracketFailureError, SingularSystemError, ValueError)
 
 

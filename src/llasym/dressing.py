@@ -284,7 +284,9 @@ class DressedSet:
         return self.p_d1
 
     def p(self, z):
-        """p(z) = int_0^z p'(s) ds (p(0) = 0; p odd since p' is even)."""
+        """p(z) = int_0^z p'(s) ds (p(0) = 0; p odd since p' is even), for real z only."""
+        if np.iscomplexobj(z):
+            raise ValueError(f"p(z) needs real z, got {z}")
         z_arr = np.atleast_1d(np.asarray(z, dtype=float))
         x, w = legendre_rule(64)
         out = np.empty_like(z_arr)

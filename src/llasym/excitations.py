@@ -91,8 +91,8 @@ class ShiftFn:
     def __post_init__(self) -> None:
         q = self.dressed.q
         for z in self.holes:
-            if not (-q - 1e-12 <= z <= q + 1e-12):
-                raise ValueError(f"hole rapidity {z} outside [-q, q] = [{-q}, {q}]")
+            if np.imag(z) != 0 or not (-q - 1e-12 <= np.real(z) <= q + 1e-12):
+                raise ValueError(f"hole rapidity {z} not real in [-q, q] = [{-q}, {q}]")
 
     def _combine(self, lam, order: int):
         d = self.dressed

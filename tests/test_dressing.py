@@ -102,6 +102,16 @@ def test_symmetries(dressed_11):
     assert np.allclose(dressed_11.p_d1(-lam), dressed_11.p_d1(lam), atol=1e-12)
 
 
+def test_p_rejects_a_non_real_argument(dressed_11):
+    # p integrates p' along the real axis; a complex array used to give p(Re z)
+    # with only a ComplexWarning, and a complex scalar a TypeError
+    for z in (np.array([0.5 + 0.1j]), 0.5 + 0.1j):
+        with pytest.raises(ValueError, match="real z"):
+            dressed_11.p(z)
+    lam = np.array([0.5, -0.2])
+    assert dressed_11.p(lam).tobytes() == np.array([dressed_11.p(x) for x in lam]).tobytes()
+
+
 def test_charge_equals_momentum_derivative(dressed_11):
     # same integral equation, solved independently for Z and p'
     lam = np.linspace(-dressed_11.q, dressed_11.q, 33)

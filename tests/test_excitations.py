@@ -56,6 +56,16 @@ def test_shift_function_literal_combination(dressed_11):
         ShiftFn(d, particles=(), holes=(2.0 * q,))  # hole outside
 
 
+@pytest.mark.parametrize("kind", [complex, np.complex128])
+def test_shift_function_rejects_a_non_real_hole(dressed_11, kind):
+    # a hole lies on [-q, q]; a Python complex used to raise TypeError from the
+    # range check, and an np.complex128 one used to pass it
+    d = dressed_11
+    with pytest.raises(ValueError, match="not real"):
+        ShiftFn(d, (), (kind(0.5 * d.q + 0.01j),))
+    assert ShiftFn(d, (), (np.float64(0.5 * d.q),)).holes == (0.5 * d.q,)
+
+
 def test_special_shift_needs_lambda0(dressed_11):
     with pytest.raises(ValueError):
         special_shift("saddle", dressed_11)

@@ -8,9 +8,15 @@ elementary.
 import numpy as np
 import pytest
 
+from llasym import ModelParams, amplitudes, dress_all, specfun
 from llasym.dressing import QuadGrid
+from llasym.excitations import find_saddle, special_shift
 from llasym.specfun import (
     _ZETA_TABLE,
+    BARNES_G_MAX,
+    GAMMA_MAX,
+    LGAM_MAX,
+    LGAM_MIN,
     barnes_g_log,
     c0_double_integral,
     cauchy_transform,
@@ -66,7 +72,8 @@ def test_barnes_g_seam_continuity():
     assert abs(a - b) < 1e-8
 
 
-# one seeded range per branch of the Cephes Gamma and lgam
+# one seeded range per branch of the Cephes Gamma and lgam; the Stirling and
+# reflection ranges lie past the domain the port keeps and check its ValueError
 GAMMA_BRANCHES = {
     "tiny": (-1e-9, 1e-9),
     "below_2": (1e-9, 2.0),
@@ -99,26 +106,90 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _raises_value_error(fn, x) -> bool:
+    try:
+        fn(x)
+    except ValueError:
+        return True
+    return False
+
+
 @pytest.mark.parametrize("branch", GAMMA_BRANCHES)
 def test_gamma_port_is_bit_identical_to_scipy(scipy_special, branch):
+    """scipy's bits inside each function's domain, ValueError outside it."""
     xs = _samples(*GAMMA_BRANCHES[branch])
-    assert _same_bits([gamma(x) for x in xs], scipy_special.gamma(xs))
-    log_abs, signs = zip(*(lgam(x) for x in xs))
-    assert _same_bits(log_abs, scipy_special.gammaln(xs))
-    assert _same_bits(signs, scipy_special.gammasgn(xs))
+    in_gamma = np.abs(xs) <= GAMMA_MAX
+    in_lgam = (LGAM_MIN <= xs) & (xs < LGAM_MAX)
+    assert _same_bits([gamma(x) for x in xs[in_gamma]], scipy_special.gamma(xs[in_gamma]))
+    assert _same_bits([lgam(x)[0] for x in xs[in_lgam]], scipy_special.gammaln(xs[in_lgam]))
+    assert _same_bits([lgam(x)[1] for x in xs[in_lgam]], scipy_special.gammasgn(xs[in_lgam]))
+    assert all(_raises_value_error(gamma, x) for x in xs[~in_gamma])
+    assert all(_raises_value_error(lgam, x) for x in xs[~in_lgam])
 
 
 def test_gamma_poles_match_scipy(scipy_special):
     assert gamma(0.0) == np.inf
     assert gamma(-0.0) == -np.inf
-    poles = [0.0, -0.0, -1.0, -2.0, -7.0, -33.0, -34.0, -150.0, -1e20]
+    poles = [0.0, -0.0, -1.0, -2.0, -7.0, -33.0]
     for n in poles[2:]:
         assert np.isnan(gamma(n))
     for x in poles:
         assert lgam(x)[0] == np.inf
-    specials = poles + [np.inf, -np.inf, np.nan, 171.7, 1e-320, -1e-320, 1e306, -3e9 - 1.5, -1e12 - 1.25]
+    specials = poles + [1e-320, -1e-320]
     assert _same_bits([gamma(x) for x in specials], scipy_special.gamma(specials))
     assert _same_bits([lgam(x)[0] for x in specials], scipy_special.gammaln(specials))
+    # the poles and specials that only the Stirling and reflection branches reached
+    for x in (-34.0, -150.0, -1e20, np.inf, -np.inf, np.nan, 171.7, 1e306, -3e9 - 1.5,
+              -1e12 - 1.25):
+        assert _raises_value_error(gamma, x) and _raises_value_error(lgam, x), x
+
+
+def test_domain_edges_are_enforced(scipy_special):
+    below, above = np.nextafter(GAMMA_MAX, 0.0), np.nextafter(GAMMA_MAX, np.inf)
+    assert _same_bits([gamma(x) for x in (GAMMA_MAX, below, -below)],
+                      scipy_special.gamma([GAMMA_MAX, below, -below]))
+    assert _raises_value_error(gamma, above) and _raises_value_error(gamma, -above)
+    top = np.nextafter(LGAM_MAX, 0.0)
+    assert _same_bits([lgam(x)[0] for x in (LGAM_MIN, top)],
+                      scipy_special.gammaln([LGAM_MIN, top]))
+    assert _raises_value_error(lgam, LGAM_MAX)
+    assert _raises_value_error(lgam, np.nextafter(LGAM_MIN, -np.inf))
+    # ln G just below its top recurs through lgam just below lgam's top
+    g_top = np.nextafter(BARNES_G_MAX, 0.0)
+    assert barnes_g_log(g_top) == pytest.approx(
+        barnes_g_log(g_top - 1.0) + lgam(g_top - 1.0)[0], rel=1e-14)
+    assert isinstance(barnes_g_log(LGAM_MIN + 0.5), complex)
+    for x in (BARNES_G_MAX, np.nextafter(LGAM_MIN, -np.inf), LGAM_MIN, np.nan, np.inf, -np.inf):
+        assert _raises_value_error(barnes_g_log, x), x
+
+
+def test_domain_holds_the_weakest_coupling_with_margin(monkeypatch):
+    """Every Gamma argument of A+- and ln G argument of B, and every lgam argument
+    of ln G's recurrence, lies at least 3 inside its function's domain at the
+    weakest coupling measured that still dresses: (c, h) = (0.05, 4), 192 nodes,
+    t/x = 0.2.  Measured there: Gamma in [-8.90, 9.90], ln G in [-8.80, 9.90],
+    lgam up to 8.9."""
+    d = dress_all(ModelParams(c=0.05, h=4.0), n_nodes=192)
+    lambda0, _ = find_saddle(0.2, d)
+    seen = {"gamma": [], "barnes_g_log": [], "lgam": []}
+
+    def spy(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda x: seen[name].append(x) or fn(x))
+
+    spy(amplitudes, "gamma")
+    spy(amplitudes, "barnes_g_log")
+    spy(specfun, "lgam")
+    for nu in (special_shift(kind, d, lambda0) for kind in ("empty", "minus_q", "saddle")):
+        lk_q, lk_mq = log_kappa(nu, d.q, d.grid), log_kappa(nu, -d.q, d.grid)
+        amplitudes.functional_Aplus(nu, d, lk_q)
+        amplitudes.functional_Aminus(nu, d, lk_mq)
+        amplitudes.functional_B(nu, d, lk_q, lk_mq)
+    assert len(seen["gamma"]) == 4 * 3 and len(seen["barnes_g_log"]) == 2 * 3
+    assert max(np.abs(seen["gamma"])) <= GAMMA_MAX - 3.0
+    for name, top in (("barnes_g_log", BARNES_G_MAX), ("lgam", LGAM_MAX)):
+        assert LGAM_MIN + 3.0 <= min(seen[name]) and max(seen[name]) < top - 3.0, name
+    assert max(seen["gamma"]) > 9.0  # minus_q's 1 - nu(-q) sets the margin
 
 
 def test_zeta_table_is_scipy_zeta(scipy_special):
