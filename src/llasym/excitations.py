@@ -55,7 +55,8 @@ SPACE_LIKE = "space-like"
 TIME_LIKE = "time-like"
 
 MAX_ABS_ELL = 2  # the harmonic ladder's default bound |l+-| <= MAX_ABS_ELL
-N_SCAN = 4001  # samples of u' in the saddle's sign-change scan
+N_SCAN = 4001  # points of the saddle's sign-change scan grid
+SCAN_STRIDE = 64  # grid points per cell of the scan's coarse pass
 
 # label -> (shift and amplitude kind, ledger pair (l+, l-)) of each explicit term
 TERMS = {
@@ -178,22 +179,9 @@ def u_d2(lam, ratio_t_over_x: float, dressed: DressedSet):
     return p_d2 - ratio_t_over_x * eps_d2
 
 
-def find_saddle(ratio_t_over_x: float, dressed: DressedSet):
-    """Unique lam0 with u'(lam0) = 0, u''(lam0) < 0; returns (lam0, regime).
-
-    Sign-change scan of N_SCAN samples on [-s, s] with s = max(5q, x/t),
-    which brackets the bare saddle x/(2t), followed by Newton polish to
-    |u'(lam0)| < 1e-10.  Sign changes are counted between consecutive
-    nonzero samples, so a sample on which u' is exactly 0 is one root, and
-    Newton starts from it.  Errors: NoSaddleError / MultipleSaddlesError /
-    DegenerateSaddleError (|lam0 -+ q| < 1e-6).
-    """
-    if not (ratio_t_over_x > 0):
-        raise ValueError("saddle search needs t/x > 0")
-    q = dressed.q
-    scan_range = max(5.0 * q, 1.0 / ratio_t_over_x)
-    grid = np.linspace(-scan_range, scan_range, N_SCAN)
-    vals = u_d1(grid, ratio_t_over_x, dressed)
+def _sign_flip(vals, scan_range: float) -> tuple:
+    """(i, j): the consecutive nonzero samples of `vals` between which u' changes
+    sign, when it changes sign exactly once."""
     signs = np.sign(vals)
     nonzero = np.flatnonzero(signs)
     sign_flips = np.flatnonzero(np.diff(signs[nonzero]) != 0)
@@ -201,7 +189,37 @@ def find_saddle(ratio_t_over_x: float, dressed: DressedSet):
         raise NoSaddleError(f"u' has no zero on [-{scan_range}, {scan_range}]")
     if len(sign_flips) > 1:
         raise MultipleSaddlesError(f"u' changes sign {len(sign_flips)} times")
-    i, j = nonzero[sign_flips[0]], nonzero[sign_flips[0] + 1]
+    return nonzero[sign_flips[0]], nonzero[sign_flips[0] + 1]
+
+
+def find_saddle(ratio_t_over_x: float, dressed: DressedSet):
+    """Unique lam0 with u'(lam0) = 0, u''(lam0) < 0; returns (lam0, regime).
+
+    Sign-change scan of a grid of N_SCAN points on [-s, s] with s = max(5q, x/t),
+    which brackets the bare saddle x/(2t), followed by Newton polish to
+    |u'(lam0)| < 1e-10.  The scan reads u' at every SCAN_STRIDE-th grid point
+    and the last, then at every point of the one coarse cell where u' changes
+    sign: the grid cell that a scan of all N_SCAN points finds.  It misses two
+    sign changes inside one coarse cell, which the increasing dressed velocity
+    v = eps'/p' rules out, since u' = p' (1 - (t/x) v).  Sign changes are
+    counted between consecutive nonzero samples, so a sample on which u' is
+    exactly 0 is one root, and Newton starts from it.  Errors: ValueError (t/x
+    not positive, or x/t not finite), NoSaddleError, MultipleSaddlesError (more
+    than one sign change in either pass, counted in that pass) and
+    DegenerateSaddleError (|lam0 -+ q| < 1e-6).
+    """
+    if not (ratio_t_over_x > 0):
+        raise ValueError("saddle search needs t/x > 0")
+    q = dressed.q
+    scan_range = max(5.0 * q, 1.0 / ratio_t_over_x)
+    if not np.isfinite(scan_range):
+        raise ValueError(f"saddle scan range x/t = 1/{ratio_t_over_x!r} is not finite")
+    grid = np.linspace(-scan_range, scan_range, N_SCAN)
+    coarse = np.append(np.arange(0, N_SCAN - 1, SCAN_STRIDE), N_SCAN - 1)
+    k, m = _sign_flip(u_d1(grid[coarse], ratio_t_over_x, dressed), scan_range)
+    a, b = coarse[k], coarse[m]
+    k, m = _sign_flip(u_d1(grid[a:b + 1], ratio_t_over_x, dressed), scan_range)
+    i, j = a + k, a + m
     lo, hi = grid[i], grid[j]
     # j > i + 1 only when exact zero samples lie between the bracket ends
     lam0 = 0.5 * (lo + hi) if j == i + 1 else grid[(i + j) // 2]
@@ -221,7 +239,9 @@ def find_saddle(ratio_t_over_x: float, dressed: DressedSet):
                 lo = lam0
             nxt = 0.5 * (lo + hi)
         lam0 = nxt
-    if abs(float(u_d1(lam0, ratio_t_over_x, dressed))) > 1e-10:
+    else:  # lam0 moved after the last f
+        f = float(u_d1(lam0, ratio_t_over_x, dressed))
+    if abs(f) > 1e-10:
         raise NoSaddleError(f"Newton failed to reach |u'| < 1e-10 at lam0={lam0}")
     if float(u_d2(lam0, ratio_t_over_x, dressed)) >= 0:
         raise NoSaddleError(f"u''(lam0) >= 0 at lam0={lam0}: not a maximum of u")

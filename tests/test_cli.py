@@ -124,6 +124,19 @@ def test_degenerate_saddle_exit_3(tmp_path, dressed_11):
     assert "DegenerateSaddleError" in res.stderr
 
 
+def test_overflowing_scan_range_exit_2(tmp_path):
+    # x/t = 1/1e-320 overflows, so the saddle scan has no finite range
+    cfg = tmp_path / "tiny_ratio.cfg"
+    cfg.write_text("ratio_t_over_x = 1e-320\n")
+    res = run_cli("saddle", "--config", str(cfg))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error (ValueError): saddle scan range")
+    assert res.stderr.count("\n") == 1
+    assert "RuntimeWarning" not in res.stderr
+    assert run_cli("dress", "--config", str(cfg)).returncode == 0
+
+
 @pytest.mark.parametrize("cmd", ["amplitudes", "asymptotics"])
 def test_non_finite_amplitude_exit_2(tmp_path, cmd):
     # at c = 0.05 det(I + V) overflows and the 2pF amplitude is NaN

@@ -107,6 +107,9 @@ def test_saddle_degenerate_at_light_cone_ratio(monkeypatch, dressed_11):
 def test_saddle_requires_positive_ratio(dressed_11):
     with pytest.raises(ValueError):
         find_saddle(-0.5, dressed_11)
+    # x/t = 1/1e-320 overflows: no finite scan range
+    with pytest.raises(ValueError, match="not finite"):
+        find_saddle(1e-320, dressed_11)
 
 
 def test_saddle_bisection_fallback(monkeypatch, dressed_11):
