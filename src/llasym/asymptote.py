@@ -106,6 +106,17 @@ class ExpansionReport:
         return float(u_combination(self.lambda0, self.ratio_t_over_x, self.dressed))
 
     @cached_property
+    def u_boundaries(self) -> tuple:
+        """(u(q), u(-q)): the saddle term and every harmonic take their frequency from these."""
+        return tuple(float(u_combination(lam, self.ratio_t_over_x, self.dressed))
+                     for lam in (self.q, -self.q))
+
+    @property
+    def saddle_frequency(self) -> float:
+        """u(lambda0) - u(q): the saddle term's and the (-1, 0) harmonic's frequency."""
+        return self.u_at_lambda0 - self.u_boundaries[0]
+
+    @cached_property
     def u_dd_at_lambda0(self) -> float:
         return float(u_d2(self.lambda0, self.ratio_t_over_x, self.dressed))
 
@@ -144,8 +155,7 @@ class ExpansionReport:
     @cached_property
     def terms(self) -> list:
         """One LedgerRow per entry of TERMS, inactive ones with amplitude None."""
-        frequency = {"saddle": self.u_at_lambda0 - self.pF,  # u(q) = p(q) since eps(q) = 0
-                     "two_pF": -2.0 * self.pF, "zero_freq": 0.0}
+        frequency = {"saddle": self.saddle_frequency, "two_pF": -2.0 * self.pF, "zero_freq": 0.0}
         amps = self.amplitudes
         return [
             LedgerRow(label, *pair, frequency[label], *self.exponents[label],
@@ -156,10 +166,8 @@ class ExpansionReport:
     @cached_property
     def harmonics(self) -> list:
         """The ledger rows |l+-| <= max_abs_ell beside the explicit terms, never summed."""
-        uq, umq = (float(u_combination(lam, self.ratio_t_over_x, self.dressed))
-                   for lam in (self.q, -self.q))
         return harmonic_table(self.max_abs_ell, self.regime, self.sides,
-                              (uq, umq, self.u_at_lambda0))
+                              (*self.u_boundaries, self.u_at_lambda0))
 
 
 def assemble_expansion(params_or_dressed, ratio_t_over_x: float) -> ExpansionReport:

@@ -236,7 +236,7 @@ def cmd_saddle(cfg: RunConfig) -> tuple:
     lines.append("lambda0,regime,u_lambda0,u_d1_residual,u_d2_lambda0,frequency")
     u_d1_residual = abs(float(u_d1(lam0, cfg.ratio_t_over_x, report.dressed)))
     lines.append(_row(lam0, regime, report.u_at_lambda0, u_d1_residual, report.u_dd_at_lambda0,
-                      report.u_at_lambda0 - report.pF))
+                      report.saddle_frequency))
     return _output(lines)
 
 

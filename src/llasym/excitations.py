@@ -36,7 +36,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dressing import DressedSet
-from .model import bare_u0
 
 
 class NoSaddleError(RuntimeError):
@@ -151,20 +150,6 @@ def special_shift(kind: str, dressed: DressedSet, lambda0: float | None = None) 
 def u_combination(lam, ratio_t_over_x: float, dressed: DressedSet):
     """u(lam) = p(lam) - (t/x) eps(lam), from the dressed solves."""
     return dressed.p(lam) - ratio_t_over_x * dressed.eps(lam)
-
-
-def u_integral(lam, ratio_t_over_x: float, dressed: DressedSet):
-    """u(lam) = u0(lam) - int_{-q}^{q} u0'(mu) phi(mu, lam) dmu (first argument of
-    phi integrated): a route to u independent of p and eps, which must agree
-    with `u_combination`."""
-    g = dressed.grid
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    u0p = 1.0 - 2.0 * ratio_t_over_x * g.nodes
-    out = np.empty_like(lam_arr)
-    for i, z in enumerate(lam_arr):
-        phi_col = dressed.phi(g.nodes, z)
-        out[i] = bare_u0(z, ratio_t_over_x, dressed.params) - np.dot(g.weights * u0p, phi_col)
-    return out[0] if np.ndim(lam) == 0 else out
 
 
 def u_d1(lam, ratio_t_over_x: float, dressed: DressedSet):

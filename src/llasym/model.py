@@ -111,7 +111,3 @@ def lieb_kernel_d2(lam, params: ModelParams, out=None):
         return out[()]
     return out
 
-
-def bare_u0(lam, ratio_t_over_x: float, params: ModelParams):
-    """u0(lam) = p0(lam) - (t/x) * eps0(lam) = lam - (t/x)(lam^2 - h)."""
-    return lam - ratio_t_over_x * (lam * lam - params.h)

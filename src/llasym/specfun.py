@@ -1,8 +1,8 @@
 """Special functions for the amplitude functionals.
 
-* Gamma and log|Gamma| with its sign: ports of the Cephes `Gamma` and `lgam`
-  (Stephen L. Moshier's Cephes Math Library), evaluated in the same order
-  with the same libm calls, so they return the same doubles as that library,
+* Gamma and log|Gamma| with its sign: the stdlib's `math.gamma` and
+  `math.lgamma`, kept to the domains below, with the poles and the overflow
+  next to 0 mapped to values instead of exceptions,
 * log Barnes G via the Taylor series of ln G(1+z) on |z| <= 1/2 plus the
   recurrence G(z+1) = Gamma(z) G(z),
 * the log of the regularisation kappa[nu](lam) = exp{-int (nu(lam)-nu(mu))/(lam-mu) dmu},
@@ -13,9 +13,9 @@ All integrals are over [-q, q] on the Gauss-Legendre grid of the dressed set.
 
 The amplitudes take Gamma and ln G only at shift values at the Fermi boundary
 (Gamma(1 +- nu(+-q)) and Gamma(+-nu(+-q)) in A+-, ln G(1 + nu(q)) and
-ln G(1 - nu(-q)) in B), so each is kept on a domain where Cephes needs only its
-rational approximations: Gamma on |x| <= 33, ln|Gamma| on [-33, 13) and ln G on
-[-33, 14), whose recurrence stays inside ln|Gamma|'s.  Outside it, nan and +-inf
+ln G(1 - nu(-q)) in B), so each is kept on a domain that holds those values with
+a margin: Gamma on |x| <= 33, ln|Gamma| on [-33, 13) and ln G on [-33, 14),
+whose recurrence stays inside ln|Gamma|'s.  Outside it, nan and +-inf
 included, each raises ValueError.
 """
 from __future__ import annotations
@@ -52,95 +52,31 @@ _SIGNS = (-1.0) ** (_KS - 1.0)
 # LGAM_MIN <= x < BARNES_G_MAX for barnes_g_log
 GAMMA_MAX, LGAM_MIN, LGAM_MAX, BARNES_G_MAX = 33.0, -33.0, 13.0, 14.0
 
-# Cephes coefficients: Gamma on [2, 3] (P/Q), ln Gamma on [2, 3] (B/C)
-_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
-            4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
-            9.99999999999999996796e-1)
-_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
-            1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
-            7.14304917030273074085e-2, 1.00000000000000000320e0)
-_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
-           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
-_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
-           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
-
-
-def _polevl(x: float, coef) -> float:
-    """coef[0] x^N + ... + coef[N] by Horner's rule."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: float, coef) -> float:
-    """x^N + coef[0] x^(N-1) + ... + coef[N-1]: a leading coefficient 1."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
 
 def gamma(x: float) -> float:
-    """Gamma(x) for real |x| <= 33, else ValueError: +-inf at +-0, nan at the negative integers."""
+    """Gamma(x) for real |x| <= 33 by `math.gamma`, else ValueError: nan at the
+    negative integers, +-inf at +-0 and where 1/|x| overflows (|x| < 1e-308)."""
     x = float(x)
     if not abs(x) <= GAMMA_MAX:  # false for nan too
         raise ValueError(f"gamma needs |x| <= {GAMMA_MAX:g}, got {x}")
-    if x == 0.0:
-        return math.copysign(math.inf, x)
-    z = 1.0
-    while x >= 3.0:
-        x -= 1.0
-        z *= x
-    while x < 0.0:
-        if x > -1e-9:
-            return _gamma_small(x, z)
-        z /= x
-        x += 1.0
-    while x < 2.0:
-        if x < 1e-9:
-            return _gamma_small(x, z)
-        z /= x
-        x += 1.0
-    if x == 2.0:
-        return z
-    x -= 2.0
-    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
-
-
-def _gamma_small(x: float, z: float) -> float:
-    """z Gamma(x) for |x| < 1e-9, nan at 0 (reached from a negative integer)."""
-    if x == 0.0:
+    if x < 0.0 and x == math.floor(x):
         return math.nan
-    return z / ((1.0 + _EULER_GAMMA * x) * x)
+    try:
+        return math.gamma(x)
+    except (OverflowError, ValueError):  # Gamma ~ 1/x near 0, a pole at +-0 itself
+        return math.copysign(math.inf, x)
 
 
 def lgam(x: float) -> tuple:
-    """(ln|Gamma(x)|, its sign) for real -33 <= x < 13, else ValueError; (inf, 1) at the poles."""
+    """(ln|Gamma(x)|, its sign) for real -33 <= x < 13 by `math.lgamma`, else
+    ValueError; (inf, 1) at the poles."""
     x = float(x)
     if not LGAM_MIN <= x < LGAM_MAX:  # false for nan too
         raise ValueError(f"lgam needs {LGAM_MIN:g} <= x < {LGAM_MAX:g}, got {x}")
-    z = 1.0
-    p = 0.0
-    u = x
-    while u >= 3.0:
-        p -= 1.0
-        u = x + p
-        z *= u
-    while u < 2.0:
-        if u == 0.0:
-            return math.inf, 1
-        z /= u
-        p += 1.0
-        u = x + p
-    sign = -1 if z < 0.0 else 1
-    z = abs(z)
-    if u == 2.0:
-        return math.log(z), sign
-    p -= 2.0
-    x = x + p
-    p = x * _polevl(x, _LGAM_B) / _p1evl(x, _LGAM_C)
-    return math.log(z) + p, sign
+    if x <= 0.0 and x == math.floor(x):
+        return math.inf, 1
+    # Gamma < 0 on (-n-1, -n) for even n >= 0, where floor(x) = -n-1 is odd
+    return math.lgamma(x), -1 if x < 0.0 and math.floor(x) % 2 else 1
 
 
 def _ln_g_one_plus(w: float) -> float:

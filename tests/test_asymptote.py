@@ -126,6 +126,17 @@ def test_time_like_saddle_inactive(report_time):
     assert any(t.label == "harmonic(-1,+0)" for t in report_time.harmonics)
 
 
+def test_one_saddle_frequency(report_time):
+    """The inactive saddle row, the (-1, 0) harmonic and `llasym saddle` give the
+    same bits: u(lam0) - u(q), at c = h = 1, t/x = 2."""
+    saddle = next(t for t in report_time.terms if t.label == "saddle")
+    harmonic = next(t for t in report_time.harmonics if t.label == "harmonic(-1,+0)")
+    u_q = float(u_combination(report_time.q, 2.0, report_time.dressed))
+    assert saddle.frequency == harmonic.frequency == report_time.u_at_lambda0 - u_q
+    printed = cmd_saddle(RunConfig(ratio_t_over_x=2.0))[0].splitlines()[-1].split(",")[5]
+    assert float(printed) == saddle.frequency  # 17 significant digits round-trip
+
+
 def test_harmonics_never_summed(report_space):
     assert all(t.amplitude is None and not t.active for t in report_space.harmonics)
     rho = evaluate_rho(report_space, 40.0, 40.0 * RATIO)

@@ -17,8 +17,22 @@ from llasym.excitations import (
     u_combination,
     u_d1,
     u_d2,
-    u_integral,
 )
+
+
+def u_integral(lam, ratio_t_over_x: float, dressed):
+    """u(lam) = u0(lam) - int_{-q}^{q} u0'(mu) phi(mu, lam) dmu (first argument of
+    phi integrated), with the bare u0 = lam - (t/x)(lam^2 - h): a route to u
+    independent of p and eps, which must agree with `u_combination`."""
+    g = dressed.grid
+    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
+    u0p = 1.0 - 2.0 * ratio_t_over_x * g.nodes
+    out = np.empty_like(lam_arr)
+    for i, z in enumerate(lam_arr):
+        phi_col = dressed.phi(g.nodes, z)
+        u0 = z - ratio_t_over_x * (z * z - dressed.params.h)
+        out[i] = u0 - np.dot(g.weights * u0p, phi_col)
+    return out[0] if np.ndim(lam) == 0 else out
 
 
 def test_phase_antisymmetry(dressed_11):

@@ -9,13 +9,17 @@ from llasym.model import (
     ModelParams,
     StripError,
     bare_phase,
-    bare_u0,
     lieb_kernel,
     lieb_kernel_d1,
     lieb_kernel_d2,
 )
 
 P1 = ModelParams(c=1.0, h=1.0)
+
+
+def bare_u0(lam, ratio_t_over_x: float, params: ModelParams):
+    """u0(lam) = p0(lam) - (t/x) * eps0(lam) = lam - (t/x)(lam^2 - h)."""
+    return lam - ratio_t_over_x * (lam * lam - params.h)
 
 
 def test_params_validation():

@@ -29,7 +29,7 @@ def test_script_runs_and_matches_mpmath(oracle_stdout):
     assert _worst(oracle_stdout, "") < 1e-14  # barnes_g_log
 
 
-def test_gamma_port_and_zeta_table_match_mpmath(oracle_stdout):
+def test_gamma_and_zeta_table_match_mpmath(oracle_stdout):
     assert _worst(oracle_stdout, "gamma ") <= 2e-15
     assert _worst(oracle_stdout, "lgam ") <= 2e-15
     assert "lgam wrong signs: 0\n" in oracle_stdout
