@@ -423,6 +423,19 @@ def _tonks_two_pF_ratio(d, contour_nodes: int) -> float:
     return abs(16.0 * two_pF / zero_freq - 1.0)
 
 
+def _velocity_residual(*sets) -> float:
+    """-min(p', steps of v = eps'/p') on 1001 points of [-s, s], s = max(5q, 50),
+    worst over the sets.  Negative where p' > 0 and v increases: then
+    u' = p' (1 - (t/x) v) has one zero in `find_saddle`'s bracket for every
+    t/x >= 0.02, the smallest of the benchmark's sweep box."""
+    worst = -np.inf
+    for d in sets:
+        s = max(5.0 * d.q, 1.0 / 0.02)
+        p_d1, eps_d1 = d.op.extend(np.linspace(-s, s, 1001), 0, (d.p_d1, d.eps_d1))
+        worst = max(worst, -np.min(p_d1), -np.min(np.diff(eps_d1 / p_d1)))
+    return worst
+
+
 CHECKS = {check.name: check for check in (
     Check("Z_phi_identity(c=1,h=1)", 1e-7, "max node residual", _z_phi_residual, ("d11", "perturb")),
     Check("Z_boundary_inverse(c=1,h=1)", 1e-7, "residual", _z_boundary_residual, ("d11", "perturb")),
@@ -450,6 +463,8 @@ CHECKS = {check.name: check for check in (
           lambda d: _exponent_deviation(d, "zero_freq", (_luttinger(d)[0],) * 2), ("d11",)),
     Check("luttinger_two_pF_exponent_sum", 1e-10, "|e+ + e- - 1/(2K) - 2K|",
           lambda d: abs(sum(_edge_exponents(d, "two_pF")) - _luttinger(d)[1]), ("d11",)),
+    Check("dressed_velocity_increasing", 0.0, "-min(p', dv), v = eps'/p', 1001 points",
+          _velocity_residual, ("d11", "d41", "d162")),
 )}
 
 # Run by the acceptance gate only: it re-dresses at 192 nodes and re-assembles on

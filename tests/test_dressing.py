@@ -324,8 +324,8 @@ def test_each_extension_builds_one_kernel_matrix(monkeypatch, dressed_11):
     calls, kernel = [], dressing.NystromOperator.weighted_kernel
     monkeypatch.setattr(dressing.NystromOperator, "weighted_kernel",
                         lambda op, z, order: calls.append(order) or kernel(op, z, order))
-    scan = np.linspace(-6.0, 6.0, 4001)
-    for evaluate in (lambda: nu(0.3), lambda: nu.d1(0.3), lambda: u_d1(scan, 0.2, d),
+    grid = np.linspace(-6.0, 6.0, 4001)
+    for evaluate in (lambda: nu(0.3), lambda: nu.d1(0.3), lambda: u_d1(grid, 0.2, d),
                      lambda: d.p_d1(0.3)):
         calls.clear()
         evaluate()
@@ -334,8 +334,8 @@ def test_each_extension_builds_one_kernel_matrix(monkeypatch, dressed_11):
 
 @pytest.mark.parametrize("order, bound", [(0, 1.1), (1, 2.1)])
 def test_weighted_kernel_fills_one_buffer(dressed_11, order, bound):
-    # the 4001-point saddle scan: the difference array becomes the result, and
-    # K' needs one more array of that size for its denominator
+    # a 4001-point grid: the difference array becomes the result, and K'
+    # needs one more array of that size for its denominator
     z = np.linspace(-6.0, 6.0, 4001)
     op = dressed_11.op
     tracemalloc.start()

@@ -1,11 +1,15 @@
-"""The saddle's two-pass sign-change scan against a scan of every grid point,
-its error paths, and the monotone dressed velocity the coarse pass relies on."""
+"""The saddle's safeguarded Newton search against a sign-change scan of a
+4001-point grid, its error paths, and the monotone dressed velocity that
+makes the saddle unique."""
+
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from llasym import ModelParams, dress_all, excitations
-from llasym.cli import main
+from llasym.cli import CHECKS, main
 from llasym.excitations import (
     SPACE_LIKE,
     TIME_LIKE,
@@ -18,14 +22,15 @@ from llasym.excitations import (
 )
 
 
-def full_scan_saddle(ratio_t_over_x, dressed):
-    """The reference search: u' on every one of the N_SCAN grid points, then
-    the same bracket rules and Newton polish as `find_saddle`."""
+def full_scan_saddle(ratio_t_over_x, dressed, n_scan=4001):
+    """The reference search: u' on every point of an n_scan-point grid on
+    [-s, s], one sign change required, then Newton polish from the grid cell
+    that holds it."""
     if not (ratio_t_over_x > 0):
         raise ValueError("saddle search needs t/x > 0")
     q = dressed.q
     scan_range = max(5.0 * q, 1.0 / ratio_t_over_x)
-    grid = np.linspace(-scan_range, scan_range, excitations.N_SCAN)
+    grid = np.linspace(-scan_range, scan_range, n_scan)
     vals = u_d1(grid, ratio_t_over_x, dressed)
     signs = np.sign(vals)
     nonzero = np.flatnonzero(signs)
@@ -63,12 +68,11 @@ def full_scan_saddle(ratio_t_over_x, dressed):
 
 
 def _outcome(search, ratio, dressed):
-    """(lam0 as hex, regime), or the name of the error the search raised."""
+    """(lam0, regime), or the name of the error the search raised."""
     try:
-        lam0, regime = search(ratio, dressed)
+        return search(ratio, dressed)
     except (NoSaddleError, MultipleSaddlesError, DegenerateSaddleError) as exc:
         return type(exc).__name__
-    return float(lam0).hex(), regime
 
 
 # 45 log-uniform rays on [0.01, 5] per coupling at h = 1, both regimes; then
@@ -87,23 +91,31 @@ def dressed_sets():
 
 
 def test_two_pass_scan_matches_the_full_scan_bit_for_bit(dressed_sets):
+    """Newton from x/(2t) gives the oracle's outcome on every ray: the same
+    error, or the same regime and lam0 within 1e-13 relative with |u'| < 1e-10.
+    (The name is from the two-pass scan that matched the oracle's bits.)"""
     regimes = set()
     for ch, ratio in RAYS:
         d = dressed_sets[ch]
-        want = _outcome(full_scan_saddle, ratio, d)
-        assert _outcome(find_saddle, ratio, d) == want, (ch, ratio)
+        want, got = _outcome(full_scan_saddle, ratio, d), _outcome(find_saddle, ratio, d)
+        if isinstance(want, str):
+            assert got == want, (ch, ratio)
+            continue
+        assert got[1] == want[1], (ch, ratio)
+        assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0), (ch, ratio)
+        assert abs(float(u_d1(got[0], ratio, d))) < 1e-10
         regimes.add(want[1])
     assert regimes == {SPACE_LIKE, TIME_LIKE}
     assert len(RAYS) >= 120
 
 
 @pytest.mark.parametrize("n_scan", [4001, 4000])
-def test_light_cone_ratios_are_degenerate_in_both_scans(monkeypatch, dressed_11, n_scan):
-    # with 4001 points a grid point lands on q, with 4000 none does
-    monkeypatch.setattr(excitations, "N_SCAN", n_scan)
+def test_light_cone_ratios_are_degenerate_in_both_scans(dressed_11, n_scan):
+    # a point of the oracle's grid lands on q with 4001 points, none with 4000
     cone = 1.0 / dressed_11.vF
     for ratio in (np.nextafter(cone, 0.0), cone, np.nextafter(cone, 1.0)):
-        assert _outcome(full_scan_saddle, ratio, dressed_11) == "DegenerateSaddleError"
+        assert _outcome(partial(full_scan_saddle, n_scan=n_scan), ratio, dressed_11) == (
+            "DegenerateSaddleError")
         assert _outcome(find_saddle, ratio, dressed_11) == "DegenerateSaddleError"
 
 
@@ -119,25 +131,32 @@ def _patch_u_d1(monkeypatch, fn):
     return sizes
 
 
-def test_many_sign_changes_are_caught_by_the_coarse_pass(monkeypatch, dressed_11):
-    # on [-5q, 5q] = [-5.9, 5.9], cos has its zeros at +-pi/2 and +-3pi/2
-    sizes = _patch_u_d1(monkeypatch, np.cos)
-    with pytest.raises(MultipleSaddlesError, match="changes sign 4 times"):
+def test_rising_u_prime_is_multiple_saddles_after_one_end_call(monkeypatch, dressed_11):
+    # on [-5q, 5q] = [-5.9, 5.9], -sin is negative at -5.9 and positive at 5.9
+    sizes = _patch_u_d1(monkeypatch, lambda lam: -np.sin(lam))
+    with pytest.raises(MultipleSaddlesError, match="no unique maximum"):
         find_saddle(0.2, dressed_11)
-    assert sizes == [64]
+    assert sizes == [2]
 
 
-def test_sign_changes_inside_one_coarse_cell_are_caught_by_the_fine_pass(
-        monkeypatch, dressed_11):
-    # three roots between grid points 1024 and 1088: the coarse pass sees one
-    # sign change, the fine pass three
-    s = 5.0 * dressed_11.q
-    grid = np.linspace(-s, s, excitations.N_SCAN)
-    roots = [0.5 * (grid[k] + grid[k + 1]) for k in (1030, 1040, 1050)]
-    sizes = _patch_u_d1(monkeypatch, lambda lam: -np.prod([lam - r for r in roots], axis=0))
-    with pytest.raises(MultipleSaddlesError, match="changes sign 3 times"):
-        find_saddle(0.2, dressed_11)
-    assert sizes == [64, 65]
+def test_newton_overshoot_is_bisected_to_the_saddle(monkeypatch, dressed_11):
+    """u' = -arctan(lam - 1): plain Newton from x/(2t) = 2.5 diverges, since
+    |2.5 - 1| is beyond arctan's 1.39 basin, so the search has to bisect."""
+    lams = []
+
+    def fake_d1(lam, ratio, dressed):
+        if np.size(lam) == 1:
+            lams.append(float(lam))
+        return -np.arctan(np.asarray(lam, dtype=float) - 1.0)
+
+    monkeypatch.setattr(excitations, "u_d1", fake_d1)
+    monkeypatch.setattr(excitations, "u_d2", lambda lam, r, d: -1.0 / (1.0 + (lam - 1.0) ** 2))
+    lam0, regime = find_saddle(0.2, dressed_11)
+    assert lams[0] == 2.5
+    newton = [a + np.arctan(a - 1.0) * (1.0 + (a - 1.0) ** 2) for a in lams[:-1]]
+    assert any(abs(b - n) > 1e-6 for b, n in zip(lams[1:], newton))  # a bisection
+    assert lam0 == pytest.approx(1.0, abs=1e-14)
+    assert regime == TIME_LIKE  # 1 < q = 1.18
 
 
 def test_no_sign_change_is_no_saddle(monkeypatch, dressed_11):
@@ -147,9 +166,9 @@ def test_no_sign_change_is_no_saddle(monkeypatch, dressed_11):
 
 
 def test_multiple_saddles_exit_3(monkeypatch, tmp_path, capsys):
-    cfg = tmp_path / "cos.cfg"
+    cfg = tmp_path / "sin.cfg"
     cfg.write_text("ratio_t_over_x = 0.2\n")
-    _patch_u_d1(monkeypatch, np.cos)
+    _patch_u_d1(monkeypatch, lambda lam: -np.sin(lam))
     assert main(["saddle", "--config", str(cfg)]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -159,11 +178,24 @@ def test_multiple_saddles_exit_3(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("h", [0.5, 1.0, 4.0])
 @pytest.mark.parametrize("c", [0.9, 2.0, 4.0, 16.0, 64.0])
 def test_dressed_velocity_is_increasing_on_the_widest_scan(c, h):
-    """v = eps'/p' increases strictly and p' > 0 on the scan grid of the sweep
-    box's smallest t/x, 0.02, so u' = p' (1 - (t/x) v) changes sign once and
-    no coarse cell of the saddle scan holds two sign changes."""
+    """v = eps'/p' increases strictly and p' > 0 on 4001 points of the saddle
+    bracket at the sweep box's smallest t/x, 0.02, so u' = p' (1 - (t/x) v)
+    changes sign once and Newton's bracket holds the one saddle."""
     d = dress_all(ModelParams(c=c, h=h), n_nodes=96)
     s = max(5.0 * d.q, 1.0 / 0.02)
-    p_d1, eps_d1 = d.op.extend(np.linspace(-s, s, excitations.N_SCAN), 0, (d.p_d1, d.eps_d1))
+    p_d1, eps_d1 = d.op.extend(np.linspace(-s, s, 4001), 0, (d.p_d1, d.eps_d1))
     assert np.all(p_d1 > 0)
     assert np.min(np.diff(eps_d1 / p_d1)) > 0
+
+
+@pytest.mark.parametrize("p_d1, eps_d1, passed", [
+    (np.ones_like, lambda lam: lam, True),  # v = lam
+    (np.ones_like, lambda lam: -lam, False),  # v falls
+    (lambda lam: -np.ones_like(lam), lambda lam: -lam, False),  # v = lam, but p' < 0
+])
+def test_velocity_check_fails_where_the_saddle_may_not_be_unique(p_d1, eps_d1, passed):
+    """verify's dressed_velocity_increasing on sets whose p' and eps' are given."""
+    stub = SimpleNamespace(q=1.0, p_d1=p_d1, eps_d1=eps_d1, op=SimpleNamespace(
+        extend=lambda lam, order, sols: tuple(sol(lam) for sol in sols)))
+    ok, line = CHECKS["dressed_velocity_increasing"].run(dict.fromkeys(("d11", "d41", "d162"), stub))
+    assert ok is passed, line
