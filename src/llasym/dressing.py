@@ -6,7 +6,7 @@ All dressed quantities of the gas solve equations of the single form
 
 with the kernel K(lam) = 2c/(lam^2 + c^2) and smooth drivings:
 
-    p'  :  g = 1                      (dressed momentum, via its derivative)
+    p'  :  g = 1                      (dressed momentum: p integrates its extension)
     eps :  g = lam^2 - h              (dressed energy)
     eps':  g = 2 lam                  (valid because eps(+-q) = 0)
     Z   :  g = 1                      (dressed charge: Z = p', the same solve)
@@ -251,8 +251,8 @@ class DressedSet:
 
     p_d1, eps and eps_d1 are the solutions of p', eps and eps', each callable
     with `.d1` (and `.d2`) for its derivatives; Z = p_d1 is the dressed charge,
-    p(z) the dressed momentum and phi(lam, mu) the dressed phase.  vF =
-    eps'(q)/p'(q); pF = p(q) = pi * D; det_IK = det(I - K/2pi).
+    p(z) = int_0^z p_d1 the dressed momentum and phi(lam, mu) the dressed phase.
+    vF = eps'(q)/p'(q); pF = p(q) = pi * D; det_IK = det(I - K/2pi).
     """
 
     params: ModelParams
@@ -284,16 +284,16 @@ class DressedSet:
         return self.p_d1
 
     def p(self, z):
-        """p(z) = int_0^z p'(s) ds (p(0) = 0; p odd since p' is even), for real z only."""
+        """p(z) = z + (1/2pi) sum_k w_k theta(z - lam_k) p'_k, for real z only: the
+        exact integral from 0 of the p' extension (theta odd and p' even cancel the
+        theta(-lam_k) terms), summed elementwise so an array keeps its elements' bits.
+        """
         if np.iscomplexobj(z):
             raise ValueError(f"p(z) needs real z, got {z}")
-        z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-        x, w = legendre_rule(64)
-        out = np.empty_like(z_arr)
-        for i, zi in enumerate(z_arr):
-            s = 0.5 * zi * (x + 1.0)
-            out[i] = 0.5 * zi * np.dot(w, self.p_d1(s))
-        return out[0] if np.isscalar(z) or np.ndim(z) == 0 else out
+        z = np.asarray(z, dtype=float)
+        theta = bare_phase(z[..., None] - self.grid.nodes, self.params)
+        out = z + np.sum(theta * (self.grid.weights * self.p_d1.values), axis=-1) / (2.0 * np.pi)
+        return out[()] if out.ndim == 0 else out
 
     def phi_solution(self, mu) -> SecondKindSolution:
         """The dressed phase phi(., mu): driving theta(lam - mu)/2pi in lam."""
