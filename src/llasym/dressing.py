@@ -33,8 +33,7 @@ changes a bit.
 Every Gauss-Legendre rule comes from `legendre_rule`, built once per n and
 scaled by q.  The Fermi boundary q is fixed by eps(+-q) = 0: eps(sqrt(h)) < 0
 for c > 0, the upper end of the bracket doubles until eps changes sign, and
-Brent's method (inverse quadratic, secant and bisection steps) closes the
-bracket to machine precision in 6 to 10 solves.
+safeguarded Newton with the slope eps'(q) closes it: 4 to 10 solves in all.
 """
 from __future__ import annotations
 
@@ -188,61 +187,62 @@ class NystromOperator:
         return out
 
 
-def _eps_at_q(q: float, params: ModelParams, n_nodes: int, operators: dict) -> float:
-    """eps(q) on the grid [-q, q]; the operator built for it goes to `operators[q]`."""
-    op = operators[q] = NystromOperator(QuadGrid.build(n_nodes, float(q)), params)
-    return float(op.solve(lambda lam: lam * lam - params.h)(q))
+def safeguarded_newton(fn: Callable, lo, hi, x, fx: tuple, f_tol: float) -> tuple:
+    """(x, fn(x)) at a root of f in the bracket (lo, hi), f(lo) < 0 < f(hi).
+
+    fn(x) is (f(x), f'(x), ...) and fx is fn at the start x.  Each iterate
+    replaces the end whose f has its sign.  Steps take the slope f' until an
+    iterate fails to halve |f|, then the secant slope of the last two iterates;
+    a step out of the bracket bisects it.  Stops at |f| < f_tol, at a step
+    within one ulp of x or a bracket within 4, or after 100 iterates.
+    """
+    secant, x_prev, f_prev = False, None, None
+    for _ in range(100):
+        f = fx[0]
+        if abs(f) < f_tol:
+            break
+        lo, hi = (x, hi) if f < 0 else (lo, x)
+        secant = secant or (f_prev is not None and not abs(f) <= 0.5 * abs(f_prev))
+        slope = (f - f_prev) / (x - x_prev) if secant else fx[1]
+        step = f / slope if slope else hi - lo  # no slope: a step out of the bracket
+        ulp = np.spacing(abs(x))
+        if abs(step) <= ulp or hi - lo <= 4.0 * ulp:
+            break
+        x_prev, f_prev, x = x, f, (x - step if lo < x - step < hi else 0.5 * (lo + hi))
+        fx = fn(x)
+    return x, fx
+
+
+def _eps_at_q(q: float, params: ModelParams, n_nodes: int) -> tuple:
+    """(eps(q), eps'(q), op): the eps solve on the grid [-q, q] and its operator."""
+    op = NystromOperator(QuadGrid.build(n_nodes, float(q)), params)
+    eps = op.solve(lambda lam: lam * lam - params.h, lambda lam: 2.0 * lam)
+    return float(eps(q)), float(eps.d1(q)), op
 
 
 def find_fermi_boundary(params: ModelParams, n_nodes: int) -> NystromOperator:
-    """The operator on [-q, q] with eps(q) = 0, q found by Brent's method on a
-    bracket grown from sqrt(h).
+    """The operator on [-q, q] with eps(q) = 0, the one the search built at q.
 
     eps(sqrt(h)) < 0 for c > 0; the upper end doubles (at most 12 times) until
-    eps changes sign, then the bracket closes to a few ulps of q.  |eps(q)| >
-    _POLE_TOL * h there means a pole of the discretised eps (too few nodes for c).
-    The operator returned is the one the search built at q (`grid.q` is q).
+    eps changes sign, then `safeguarded_newton` from the lower end, with slope
+    eps'(q) from each eps solve, closes it; |eps(q)| > _POLE_TOL * h there is a
+    pole of the discretised eps (too few nodes for c).
     """
-    operators: dict = {}
     lo = hi = float(np.sqrt(params.h))
-    f_lo = _eps_at_q(lo, params, n_nodes, operators)
+    at_lo = _eps_at_q(lo, params, n_nodes)
     for _ in range(12):
         hi *= 2.0
-        f_hi = _eps_at_q(hi, params, n_nodes, operators)
-        if f_lo * f_hi <= 0:
+        at_hi = _eps_at_q(hi, params, n_nodes)
+        if at_lo[0] * at_hi[0] <= 0:
             break
-        lo, f_lo = hi, f_hi
+        lo, at_lo = hi, at_hi
     else:
         raise BracketFailureError(f"eps(q) does not change sign on [sqrt(h), {hi}]")
-    # Brent's method: b is the best estimate, [b, c] brackets the root, a is
-    # the previous b, d the last step and e the one before it
-    a, f_a, b, f_b = lo, f_lo, hi, f_hi
-    c, f_c, d, e = a, f_a, b - a, b - a
-    for _ in range(100):
-        if f_a * f_b < 0:
-            c, f_c, d, e = a, f_a, b - a, b - a
-        if abs(f_c) < abs(f_b):
-            a, f_a, b, f_b, c, f_c = b, f_b, c, f_c, b, f_b
-        delta, m = 2.0 * np.finfo(float).eps * b, 0.5 * (c - b)
-        if f_b == 0 or abs(m) < delta:
-            break
-        if abs(e) > delta and abs(f_b) < abs(f_a):
-            if a == c:  # secant
-                s = -f_b * (b - a) / (f_b - f_a)
-            else:  # inverse quadratic interpolation through a, b, c
-                d_a, d_c = (f_a - f_b) / (a - b), (f_c - f_b) / (c - b)
-                s = -f_b * (f_c * d_c - f_a * d_a) / (d_c * d_a * (f_c - f_a))
-            e, d = (d, s) if 2.0 * abs(s) < min(abs(e), 3.0 * abs(m) - delta) else (m, m)
-        else:
-            e = d = m
-        a, f_a = b, f_b
-        b += d if abs(d) > delta else np.copysign(delta, m)
-        f_b = _eps_at_q(b, params, n_nodes, operators)
-        for key in operators.keys() - {a, b, c}:  # the q returned is b, or c after a swap
-            del operators[key]
-    if not abs(f_b) <= _POLE_TOL * params.h:
-        raise BracketFailureError(f"eps changes sign across a pole at q = {b} (eps = {f_b})")
-    return operators[b]
+    q, (eps_q, _, op) = safeguarded_newton(
+        lambda q: _eps_at_q(q, params, n_nodes), lo, hi, lo, at_lo, 0.0)
+    if not abs(eps_q) <= _POLE_TOL * params.h:
+        raise BracketFailureError(f"eps changes sign across a pole at q = {q} (eps = {eps_q})")
+    return op
 
 
 @dataclass

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dressing import DressedSet
+from .dressing import DressedSet, safeguarded_newton
 
 
 class NoSaddleError(RuntimeError):
@@ -166,15 +166,13 @@ def u_d2(lam, ratio_t_over_x: float, dressed: DressedSet):
 def find_saddle(ratio_t_over_x: float, dressed: DressedSet):
     """Unique lam0 with u'(lam0) = 0, u''(lam0) < 0; returns (lam0, regime).
 
-    Safeguarded Newton on u' from the bare saddle x/(2t), in the bracket
-    [-s, s] with s = max(5q, x/t) and u'(-s) > 0 > u'(s): each iterate
-    replaces the end whose u' has its sign, and a step that leaves the
-    bracket bisects it instead.  u' = p' (1 - (t/x) v) changes sign once
-    where p' > 0 and v = eps'/p' increases (`verify` checks both).  Errors:
-    ValueError (t/x not positive, or x/t not finite), NoSaddleError (u' of
-    one sign at both ends, |u'| above 1e-10 after Newton, or u'' >= 0),
-    MultipleSaddlesError (u'(-s) < 0 < u'(s)) and DegenerateSaddleError
-    (|lam0 -+ q| < 1e-6).
+    `safeguarded_newton` on -u' (slope -u'') from the bare saddle x/(2t), in
+    the bracket [-s, s] with s = max(5q, x/t) and u'(-s) > 0 > u'(s), until
+    |u'| < 1e-14.  u' = p' (1 - (t/x) v) changes sign once where p' > 0 and
+    v = eps'/p' increases (`verify` checks both).  Errors: ValueError (t/x
+    not positive, or x/t not finite), NoSaddleError (u' of one sign at both
+    ends, |u'| above 1e-10 after Newton, or u'' >= 0), MultipleSaddlesError
+    (u'(-s) < 0 < u'(s)) and DegenerateSaddleError (|lam0 -+ q| < 1e-6).
     """
     if not (ratio_t_over_x > 0):
         raise ValueError("saddle search needs t/x > 0")
@@ -187,23 +185,15 @@ def find_saddle(ratio_t_over_x: float, dressed: DressedSet):
         raise MultipleSaddlesError(f"u'(-{s}) < 0 < u'({s}): u has no unique maximum on [-s, s]")
     if not f_lo > 0 > f_hi:
         raise NoSaddleError(f"u' has no zero on [-{s}, {s}]")
-    lo, hi = -s, s
+
+    def minus_u_slopes(lam):  # -u' rises through the saddle, with slope -u''
+        return tuple(-float(u(lam, ratio_t_over_x, dressed)) for u in (u_d1, u_d2))
     lam0 = 0.5 / ratio_t_over_x
-    for _ in range(100):
-        f = float(u_d1(lam0, ratio_t_over_x, dressed))
-        if abs(f) < 1e-14:
-            break
-        if f > 0:
-            lo = lam0
-        else:
-            hi = lam0
-        nxt = lam0 - f / float(u_d2(lam0, ratio_t_over_x, dressed))
-        lam0 = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-    else:  # lam0 moved after the last f
-        f = float(u_d1(lam0, ratio_t_over_x, dressed))
+    lam0, (f, minus_u_d2) = safeguarded_newton(
+        minus_u_slopes, -s, s, lam0, minus_u_slopes(lam0), 1e-14)
     if abs(f) > 1e-10:
         raise NoSaddleError(f"Newton failed to reach |u'| < 1e-10 at lam0={lam0}")
-    if float(u_d2(lam0, ratio_t_over_x, dressed)) >= 0:
+    if minus_u_d2 <= 0:
         raise NoSaddleError(f"u''(lam0) >= 0 at lam0={lam0}: not a maximum of u")
     if min(abs(lam0 - q), abs(lam0 + q)) < 1e-6:
         raise DegenerateSaddleError(f"lam0 = {lam0} within 1e-6 of a Fermi boundary +-{q}")

@@ -237,6 +237,34 @@ def test_exponents_scale_invariant(s):
     assert scaled.lambda0 == pytest.approx(s * base.lambda0, rel=1e-7)
 
 
+_SCALE_DRAWS = np.random.default_rng(2702)
+SCALE_POINTS = [(float(np.exp(_SCALE_DRAWS.uniform(np.log(0.5), np.log(64.0)))),
+                 float(np.exp(_SCALE_DRAWS.uniform(np.log(0.5), np.log(4.0)))),
+                 float(_SCALE_DRAWS.uniform(*band)))
+                for band in ((0.02, 0.2), (1.2, 4.0), (0.02, 0.2))]
+
+
+@pytest.mark.parametrize("s", [2.0, 0.5])
+@pytest.mark.parametrize("c,h,ratio", SCALE_POINTS)
+def test_scale_covariance_of_amplitudes_and_rho(c, h, ratio, s):
+    """(c, h, t/x) -> (s c, s^2 h, (t/x)/s) with s a power of 2 scales every
+    grid and kernel value exactly: q, vF and lambda0 scale by s bit for bit,
+    each edge amplitude by s^(1 - e+ - e-), the saddle amplitude by s^(-e+ - e-)
+    and rho(x/s, t/s^2) = s rho(x, t), the last three to rounding."""
+    base = assemble_expansion(ModelParams(c=c, h=h), ratio)
+    scaled = assemble_expansion(ModelParams(c=s * c, h=s * s * h), ratio / s)
+    assert (scaled.q, scaled.vF, scaled.lambda0) == (s * base.q, s * base.vF, s * base.lambda0)
+    assert scaled.amplitudes.keys() == base.amplitudes.keys()
+    for label, amp in base.amplitudes.items():
+        e_plus, e_minus, _ = base.exponents[label]
+        power = (label != "saddle") - e_plus - e_minus
+        assert scaled.amplitudes[label].value == pytest.approx(amp.value * s**power, rel=1e-12), label
+    for x in (10.0, 137.0, 2000.0):
+        rho = evaluate_rho(base, x, ratio * x).value
+        assert evaluate_rho(scaled, x / s, ratio * x / (s * s)).value == pytest.approx(
+            s * rho, rel=1e-12, abs=0.0), x
+
+
 def _rho_numpy(report, x, t):
     """evaluate_rho's value and moduli written with numpy 0-d ufuncs throughout."""
     vF = report.vF

@@ -218,8 +218,8 @@ def test_fermi_boundary_root_and_solve_count(monkeypatch, c, h, n_nodes):
     calls = _count_eps_calls(monkeypatch, eps_at_q)
     q = find_fermi_boundary(params, n_nodes=n_nodes).grid.q
     assert len(calls) <= 12
-    assert abs(eps_at_q(q, params, n_nodes, {})) <= 1e-12
-    assert eps_at_q(q * (1 - 1e-12), params, n_nodes, {}) < 0 < eps_at_q(q * (1 + 1e-12), params, n_nodes, {})
+    assert abs(eps_at_q(q, params, n_nodes)[0]) <= 1e-12
+    assert eps_at_q(q * (1 - 1e-12), params, n_nodes)[0] < 0 < eps_at_q(q * (1 + 1e-12), params, n_nodes)[0]
 
 
 def test_fermi_boundary_rejects_a_pole_of_the_discretised_eps():
@@ -230,14 +230,35 @@ def test_fermi_boundary_rejects_a_pole_of_the_discretised_eps():
 
 
 @pytest.mark.parametrize("eps_at_q,fragment", [
-    (lambda q, *a: -1.0, "does not change sign"),
-    (lambda q, *a: 1.0 / (q - 0.5 * np.pi), "pole"),
+    (lambda q, *a: (-1.0, 0.0, None), "does not change sign"),
+    (lambda q, *a: (1.0 / (q - 0.5 * np.pi), -1.0 / (q - 0.5 * np.pi) ** 2, None), "pole"),
 ])
 def test_fermi_boundary_bracket_failures_are_bounded(monkeypatch, eps_at_q, fragment):
     calls = _count_eps_calls(monkeypatch, eps_at_q)
     with pytest.raises(BracketFailureError, match=fragment):
         find_fermi_boundary(P11, dressing.N_NODES)
-    assert len(calls) <= 1 + 12 + 100  # sqrt(h), growth steps, Brent steps
+    assert len(calls) <= 1 + 12 + 100  # sqrt(h), growth steps, Newton iterates
+
+
+def _operators_per_dressing(monkeypatch, params):
+    lu_calls, lu_factor = [], dressing.lu_factor
+    monkeypatch.setattr(dressing, "lu_factor", lambda a: lu_calls.append(1) or lu_factor(a))
+    dress_all(params)
+    monkeypatch.undo()
+    return len(lu_calls)
+
+
+def test_fermi_search_builds_at_most_seven_operators_on_the_sweep_box(monkeypatch):
+    """A cold dress_all on 40 seeded (c, h) of the benchmark's sweep box (c
+    log-uniform on [0.5, 64], h on [0.5, 4]) builds a median of 6 operators
+    and at most 7.  The box's weakest corner, c/sqrt(h) = 1/4, starts Newton
+    farthest from q and takes 8."""
+    rng = np.random.default_rng(2701)
+    draws = [(math.exp(rng.uniform(math.log(0.5), math.log(64.0))),
+              math.exp(rng.uniform(math.log(0.5), math.log(4.0)))) for _ in range(40)]
+    counts = [_operators_per_dressing(monkeypatch, ModelParams(c=c, h=h)) for c, h in draws]
+    assert max(counts) <= 7 and np.median(counts) <= 6, counts
+    assert _operators_per_dressing(monkeypatch, ModelParams(c=0.5, h=4.0)) <= 8
 
 
 @given(c=st.floats(0.5, 40.0), h=st.floats(0.5, 4.0))
