@@ -13,7 +13,7 @@ every version that fails the same way.
 from __future__ import annotations
 
 from llasym import ModelParams, dress_all
-from llasym.amplitudes import amplitude, default_contour
+from llasym.amplitudes import amplitude, contour_on, default_contour
 from llasym.asymptote import assemble_expansion, evaluate_rho
 from llasym.excitations import active_terms
 
@@ -39,6 +39,8 @@ def dump_lines(couplings=COUPLINGS, ratios=RATIOS):
             yield f"c={c!r} h={h!r} dress {_failure(exc)}"
             continue
         yield f"c={c!r} h={h!r} q={dressed.q!r} pF={dressed.pF!r} vF={dressed.vF!r}"
+        # one Contour per node count: each of its matrices is built once per coupling
+        contours = {n: contour_on(dressed, default_contour(dressed, n)) for n in CONTOUR_NODES}
         for r in ratios:
             head = f"c={c!r} h={h!r} t/x={r!r}"
             try:
@@ -50,10 +52,9 @@ def dump_lines(couplings=COUPLINGS, ratios=RATIOS):
             for row in report.terms + report.harmonics:
                 yield f"{head} {row!r}"
             for label, (kind, _) in active_terms(report.regime).items():
-                for n in CONTOUR_NODES:
+                for n, contour in contours.items():
                     try:
-                        amp = amplitude(kind, dressed, report.lambda0, report.regime,
-                                        default_contour(dressed, n))
+                        amp = amplitude(kind, dressed, report.lambda0, report.regime, contour)
                         yield f"{head} {label} n={n} raw={amp.raw!r}"
                     except Exception as exc:  # noqa: BLE001
                         yield f"{head} {label} n={n} {_failure(exc)}"

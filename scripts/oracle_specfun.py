@@ -33,6 +33,7 @@ from llasym.specfun import (
     LGAM_MIN,
     barnes_g_log,
     c0_double_integral,
+    c0_matrix,
     cauchy_transform,
     gamma,
     lgam,
@@ -104,7 +105,7 @@ print(f"  numeric = {val}   (expected 0.25 exactly)")
 print("\n== C0[nu==1] = ln(1 + 4 q^2/c^2) ==")
 for q, c in [(1.0, 1.0), (1.0, 4.0), (2.0, 3.0), (1.0, 1e6)]:
     grid = QuadGrid.build(96, q)
-    got = c0_double_integral(lambda m: np.ones_like(m), grid, c)
+    got = c0_double_integral(lambda m: np.ones_like(m), grid, c0_matrix(grid, c))
     want = np.log(1.0 + 4.0 * q * q / (c * c))
     print(f"  q={q} c={c:g}: numeric={got.real:+.15e} (im {got.imag:.1e})  closed={want:+.15e}  diff={abs(got - want):.2e}")
 

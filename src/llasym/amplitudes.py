@@ -23,6 +23,13 @@ All determinants are evaluated on an axis-aligned ellipse around [-q, q]
 w_k = dw/dtheta * dtheta).  The ellipse must stay inside the analyticity
 strip |Im z| <= c/4 and keep a margin from the segment [-q, q].
 
+Every matrix an amplitude takes from its dressed set and contour alone lives on
+a `Contour`, built on first use: the nodes and weights, the kernel
+K(w_j - w_k), the Nystrom extension matrix of nu at the nodes, the matrix of
+C0[nu] and the grids of B's antisymmetric double integral.  The amplitudes of
+one expansion share one Contour, which goes with them: it is never kept on
+the dressed set, whose life can be long.
+
 Only det(I + V) is factorised: det(I + Vbar) is its complex conjugate.  The
 shift function of real particles and holes is real on the real axis, so
 nu(conj w) = conj nu(w), and so are the kernel and the Cauchy transforms.
@@ -33,13 +40,14 @@ conjugate of V, a permutation similarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dressing import STRIP, DressedSet, QuadGrid
 from .excitations import TERMS, ShiftFn, active_terms, ledger_exponents, special_shift
 from .model import lieb_kernel
-from .specfun import barnes_g_log, c0_double_integral, cauchy_transform, gamma, log_kappa
+from .specfun import barnes_g_log, c0_double_integral, c0_matrix, cauchy_transform, gamma, log_kappa
 
 
 CONTOUR_NODES = 256  # trapezoid nodes of the default contour
@@ -91,6 +99,65 @@ def default_contour(dressed: DressedSet, n_nodes: int = CONTOUR_NODES) -> Contou
     return ContourSpec(1.5 * q, min(0.22 * c, 0.75 * q), n_nodes)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class Contour:
+    """One ContourSpec on one dressed set, with each matrix that depends on them
+    alone, built on first use and read-only:
+
+    nodes_weights  : the nodes omega and complex trapezoid weights dw of the spec;
+    kernel         : K(omega_j - omega_k), for det(I + V);
+    extension      : w_k K(omega_j - lam_k), the Nystrom extension matrix of nu(omega);
+    c0             : (lam_j - lam_k - ic)^{-2} on the grid, for C0[nu];
+    antisymmetric  : B's (n+1)-node grid mu and the denominators lam_j - mu_k.
+
+    Each enters the amplitude through the operations of its former per-call
+    build, so sharing one Contour changes no bit.  It lives as long as its
+    caller holds it; an amplitude from the memo builds nothing.
+    """
+
+    def __init__(self, dressed: DressedSet, spec: ContourSpec):
+        self.dressed = dressed
+        self.spec = spec
+
+    @cached_property
+    def nodes_weights(self) -> tuple:
+        return tuple(map(_read_only, self.spec.nodes_weights()))
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        omega = self.nodes_weights[0]
+        kmat = omega[:, None] - omega[None, :]
+        return _read_only(lieb_kernel(kmat, self.dressed.params, out=kmat))
+
+    @cached_property
+    def extension(self) -> np.ndarray:
+        return _read_only(self.dressed.op.weighted_kernel(self.nodes_weights[0], 0))
+
+    @cached_property
+    def c0(self) -> np.ndarray:
+        return _read_only(c0_matrix(self.dressed.grid, self.dressed.params.c))
+
+    @cached_property
+    def antisymmetric(self) -> tuple:
+        """(grid2, lam_j - mu_k): the (n+1)-node grid and the denominators."""
+        g1 = self.dressed.grid
+        g2 = QuadGrid.build(g1.n_nodes + 1, g1.q)
+        return g2, _read_only(g1.nodes[:, None] - g2.nodes[None, :])
+
+
+def contour_on(dressed: DressedSet, contour: Contour | ContourSpec | None = None) -> Contour:
+    """A Contour on `dressed`: the given one, one on the given spec, or on the default."""
+    if isinstance(contour, Contour):
+        if contour.dressed is not dressed:
+            raise ValueError("the contour was built on another dressed set")
+        return contour
+    return Contour(dressed, default_contour(dressed) if contour is None else contour)
+
+
 # ----------------------------------------------------------------------
 # boundary functionals
 # ----------------------------------------------------------------------
@@ -135,8 +202,10 @@ def functional_A0(nu: ShiftFn, dressed: DressedSet, lambda0: float) -> complex:
     return complex(np.exp(-0.25j * np.pi - 2.0 * lk + 2.0 * n0 * log_ratio))
 
 
-def functional_B(nu: ShiftFn, dressed: DressedSet, lk_q: complex, lk_mq: complex) -> complex:
-    """B[nu, p], assembled in log space, with lk_q = ln kappa(q) and lk_mq = ln kappa(-q).
+def functional_B(nu: ShiftFn, dressed: DressedSet, lk_q: complex, lk_mq: complex,
+                 contour: Contour | None = None) -> complex:
+    """B[nu, p], assembled in log space, with lk_q = ln kappa(q) and lk_mq = ln kappa(-q),
+    taking the double integral's grids from `contour` (by default a new one).
 
     ln B = nu(-q) ln kappa(-q) - nu(q) ln kappa(q)
          + 2 ln G(1 + nu(q)) + 2 ln G(1 - nu(-q))
@@ -153,22 +222,21 @@ def functional_B(nu: ShiftFn, dressed: DressedSet, lk_q: complex, lk_mq: complex
     log_b -= nq**2 * np.log(2.0 * q * float(dressed.p_d1(q)))
     log_b -= nmq**2 * np.log(2.0 * q * float(dressed.p_d1(-q)))
     log_b -= (nq - nmq) * np.log(2.0 * np.pi)
-    log_b += 0.5 * _antisymmetric_double_integral(nu, dressed)
+    log_b += 0.5 * _antisymmetric_double_integral(nu, contour_on(dressed, contour))
     return complex(np.exp(log_b))
 
 
-def _antisymmetric_double_integral(nu: ShiftFn, dressed: DressedSet) -> float:
+def _antisymmetric_double_integral(nu: ShiftFn, contour: Contour) -> float:
     """int int (nu'(l) nu(m) - nu'(m) nu(l)) / (l - m) dl dm over [-q, q]^2.
 
     Two interlacing Gauss-Legendre grids (n and n+1 nodes) keep the smooth
     diagonal limit off the quadrature lattice.
     """
-    g1 = dressed.grid
-    g2 = QuadGrid.build(g1.n_nodes + 1, g1.q)
+    g1 = contour.dressed.grid
+    g2, denom = contour.antisymmetric
     v1, d1 = np.asarray(nu(g1.nodes), float), np.asarray(nu.d1(g1.nodes), float)
     v2, d2 = np.asarray(nu(g2.nodes), float), np.asarray(nu.d1(g2.nodes), float)
     numer = d1[:, None] * v2[None, :] - d2[None, :] * v1[:, None]
-    denom = g1.nodes[:, None] - g2.nodes[None, :]
     return float(g1.weights @ (numer / denom) @ g2.weights)
 
 
@@ -188,7 +256,7 @@ def smooth_part_G(
     nu: ShiftFn,
     dressed: DressedSet,
     pair: tuple | None,
-    contour: ContourSpec,
+    contour: Contour | ContourSpec,
 ) -> complex:
     """Smooth part G_0 (pair None) or G_1 (pair = (mu_p, mu_h): one particle, one hole).
 
@@ -212,10 +280,13 @@ def smooth_part_G(
     conjugated at the mirrored nodes and det(I + Vbar) = conj det(I + V): only
     det(I + V) is computed.  That needs nu real on the real axis, so a shift
     function with a non-real particle or hole raises ValueError.
+
+    The nodes, K, the extension matrix of nu(w) and C0's matrix come from the
+    Contour on (dressed, spec); a ContourSpec gets a Contour of its own.
     """
-    params = dressed.params
-    q, c = dressed.q, params.c
-    contour.validate(q, c)
+    contour = contour_on(dressed, contour)
+    q, c = dressed.q, dressed.params.c
+    contour.spec.validate(q, c)
     if any(np.imag(z) != 0 for z in (*nu.particles, *nu.holes)):
         raise ValueError(f"det(I + Vbar) = conj det(I + V) needs real particles and holes, "
                          f"got particles {nu.particles}, holes {nu.holes}")
@@ -236,14 +307,14 @@ def smooth_part_G(
                 cauchy_transform(nu_grid, grid, mh + eps * 1j * c)
                 - cauchy_transform(nu_grid, grid, mp + eps * 1j * c)
             )[0]
-    log_pref += c0_double_integral(nu, grid, c)
+    log_pref += c0_double_integral(nu, grid, contour.c0)
     if pair is not None:
         log_pref += np.log((mp - mh - 1j * c) * (mh - mp - 1j * c)
                            / ((mp - mp - 1j * c) * (mh - mh - 1j * c)))
 
     # one Fredholm determinant on the contour: det(I + Vbar) is its conjugate
-    omega, w = contour.nodes_weights()
-    nu_omega = np.asarray(nu(omega), dtype=complex)
+    omega, w = contour.nodes_weights
+    nu_omega = np.asarray(nu(omega, contour.extension), dtype=complex)
     c2_omega, c2_up = (2j * np.pi * cauchy_transform(nu_grid, grid, z)
                        for z in (omega, omega + 1j * c))
 
@@ -252,15 +323,13 @@ def smooth_part_G(
     if np.min(np.abs(res_m)) < _NODE_RESONANCE_TOL or np.min(np.abs(res_p)) < _NODE_RESONANCE_TOL:
         raise ResonanceError("e^{+-2 i pi nu(w)} - 1 vanishes on the contour")
 
-    kmat = omega[:, None] - omega[None, :]
-    lieb_kernel(kmat, params, out=kmat)
     ic = 1j * c
     rat = np.ones_like(omega)
     if pair is not None:
         rat = rat * (omega - mp) * (omega - mh + ic) / ((omega - mh) * (omega - mp + ic))
     pre = (-1.0 / (2.0 * np.pi)) * (omega - q) / (omega - q + ic) * rat \
         * np.exp(c2_omega - c2_up) / res_m
-    det_v = fredholm_det_contour(pre, kmat, w)
+    det_v = fredholm_det_contour(pre, contour.kernel, w)
 
     return complex(np.exp(log_pref) * det_v * np.conj(det_v) / dressed.det_IK**2)
 
@@ -290,7 +359,7 @@ def amplitude(
     dressed: DressedSet,
     lambda0: float | None = None,
     regime: str | None = None,
-    contour: ContourSpec | None = None,
+    contour: Contour | ContourSpec | None = None,
 ) -> AmplitudeResult:
     """Amplitude of one explicit term: kind in {"empty", "minus_q", "saddle"}.
 
@@ -301,16 +370,16 @@ def amplitude(
     each times exp{i pi/2 (e- - e+)}, with (e+, e-) the exponent pair of the
     kind's ledger pair in TERMS.  The saddle amplitude exists only where
     `active_terms(regime)` lists it: a time-like saddle raises ValueError.  A
-    contour of None is `default_contour(dressed)`.
+    contour of None is `default_contour(dressed)`; callers that take several
+    amplitudes on one spec pass one `Contour`, so its matrices are built once.
     The edge amplitudes (empty, minus_q) do not depend on the ray, so each is
-    computed once per (dressed set, contour) and kept on the dressed set; the
-    saddle amplitude depends on lambda0 and is computed on every call.
+    computed once per (dressed set, contour spec) and kept on the dressed set;
+    the saddle amplitude depends on lambda0 and is computed on every call.
     """
-    if contour is None:
-        contour = default_contour(dressed)
-    memo = dressed._edge_amplitudes
-    if (kind, contour) in memo:
-        return memo[kind, contour]
+    contour = contour_on(dressed, contour)
+    memo, key = dressed._edge_amplitudes, (kind, contour.spec)
+    if key in memo:
+        return memo[key]
     if kind == "saddle" and "saddle" not in active_terms(regime):
         raise ValueError(f"saddle amplitude needs the space-like regime, got {regime!r}")
     nu = special_shift(kind, dressed, lambda0)  # raises on an unknown kind
@@ -330,7 +399,7 @@ def amplitude(
 
     e_plus, e_minus, _ = ledger_exponents(nu, dict(TERMS.values())[kind])  # the kind's pair
     phase = 0.5j * np.pi * (e_minus - e_plus)
-    b_fac = functional_B(nu, dressed, lk_q, lk_mq)
+    b_fac = functional_B(nu, dressed, lk_q, lk_mq, contour)
     raw = complex(pre * a_fac * b_fac * g_fac * np.exp(phase))
     if not np.isfinite(raw):
         raise NonFiniteAmplitudeError(f"{kind} amplitude is not finite: {raw}")
@@ -338,5 +407,5 @@ def amplitude(
         kind=kind, value=float(raw.real), phase_residual=float(abs(raw.imag)), raw=raw
     )
     if kind != "saddle":
-        memo[kind, contour] = result
+        memo[key] = result
     return result

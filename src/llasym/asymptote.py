@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 # called through this module's globals, where benchmarks/spans.py patches them by name
-from .amplitudes import ContourSpec, amplitude
+from .amplitudes import ContourSpec, amplitude, contour_on
 from .dressing import DressedSet, dress_all
 from .excitations import (
     MAX_ABS_ELL,
@@ -145,10 +145,12 @@ class ExpansionReport:
 
     @cached_property
     def amplitudes(self) -> dict:
-        """AmplitudeResult of each active term, by label."""
+        """AmplitudeResult of each active term, by label, all on one `Contour`,
+        which is released with this call: the report keeps no contour matrix."""
+        contour = contour_on(self.dressed, self.contour)
         return {
             label: amplitude(kind, self.dressed, lambda0=self.lambda0, regime=self.regime,
-                             contour=self.contour)
+                             contour=contour)
             for label, (kind, _) in active_terms(self.regime).items()
         }
 

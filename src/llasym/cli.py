@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .amplitudes import CONTOUR_NODES, amplitude, default_contour
+from .amplitudes import CONTOUR_NODES, amplitude, contour_on, default_contour
 from .asymptote import (
     RATIO_RTOL,
     TERMS,
@@ -418,7 +418,7 @@ def _tonks_amplitude_residual(d, contour_nodes: int) -> float:
 
 def _tonks_two_pF_ratio(d, contour_nodes: int) -> float:
     """|16 two_pF / zero_freq - 1|: Vaidya and Tracy's ratio 1/16 (PRL 42, 3 (1979))."""
-    contour = default_contour(d, contour_nodes)
+    contour = contour_on(d, default_contour(d, contour_nodes))
     two_pF, zero_freq = (amplitude(kind, d, contour=contour).value for kind in ("minus_q", "empty"))
     return abs(16.0 * two_pF / zero_freq - 1.0)
 

@@ -34,6 +34,7 @@ Every Gauss-Legendre rule comes from `legendre_rule`, built once per n and
 scaled by q.  The Fermi boundary q is fixed by eps(+-q) = 0: eps(sqrt(h)) < 0
 for c > 0, the upper end of the bracket doubles until eps changes sign, and
 safeguarded Newton with the slope eps'(q) closes it: 4 to 10 solves in all.
+The dressed set keeps the eps solve and the operator of the search's last step.
 """
 from __future__ import annotations
 
@@ -174,10 +175,12 @@ class NystromOperator:
         diff *= self.grid.weights
         return diff
 
-    def extend(self, z, order: int, solutions) -> list:
+    def extend(self, z, order: int, solutions, kzw=None) -> list:
         """[s^(order)(z) for s in solutions], each
-        g^(order)(z) + (1/2pi) sum_k w_k K^(order)(z - lam_k) s_k, from one kernel matrix."""
-        kzw = self.weighted_kernel(z, order)
+        g^(order)(z) + (1/2pi) sum_k w_k K^(order)(z - lam_k) s_k, from one kernel
+        matrix: kzw if the caller holds `weighted_kernel(z, order)`, else built here."""
+        if kzw is None:
+            kzw = self.weighted_kernel(z, order)
         z = np.asarray(z)
         out = []
         for s in solutions:
@@ -214,14 +217,16 @@ def safeguarded_newton(fn: Callable, lo, hi, x, fx: tuple, f_tol: float) -> tupl
 
 
 def _eps_at_q(q: float, params: ModelParams, n_nodes: int) -> tuple:
-    """(eps(q), eps'(q), op): the eps solve on the grid [-q, q] and its operator."""
+    """(eps(q), eps'(q), eps): the eps solve on the grid [-q, q], its operator eps.op."""
     op = NystromOperator(QuadGrid.build(n_nodes, float(q)), params)
-    eps = op.solve(lambda lam: lam * lam - params.h, lambda lam: 2.0 * lam)
-    return float(eps(q)), float(eps.d1(q)), op
+    eps = op.solve(lambda lam: lam * lam - params.h, lambda lam: 2.0 * lam,
+                   lambda lam: 2.0 * _ones(lam))
+    return float(eps(q)), float(eps.d1(q)), eps
 
 
-def find_fermi_boundary(params: ModelParams, n_nodes: int) -> NystromOperator:
-    """The operator on [-q, q] with eps(q) = 0, the one the search built at q.
+def find_fermi_boundary(params: ModelParams, n_nodes: int) -> SecondKindSolution:
+    """The eps solve on [-q, q] with eps(q) = 0, the one the search made at q;
+    its operator eps.op is the dressed set's.
 
     eps(sqrt(h)) < 0 for c > 0; the upper end doubles (at most 12 times) until
     eps changes sign, then `safeguarded_newton` from the lower end, with slope
@@ -238,11 +243,11 @@ def find_fermi_boundary(params: ModelParams, n_nodes: int) -> NystromOperator:
         lo, at_lo = hi, at_hi
     else:
         raise BracketFailureError(f"eps(q) does not change sign on [sqrt(h), {hi}]")
-    q, (eps_q, _, op) = safeguarded_newton(
+    q, (eps_q, _, eps) = safeguarded_newton(
         lambda q: _eps_at_q(q, params, n_nodes), lo, hi, lo, at_lo, 0.0)
     if not abs(eps_q) <= _POLE_TOL * params.h:
         raise BracketFailureError(f"eps changes sign across a pole at q = {q} (eps = {eps_q})")
-    return op
+    return eps
 
 
 @dataclass
@@ -319,10 +324,9 @@ class DressedSet:
 
 def dress_all(params: ModelParams, n_nodes: int = N_NODES) -> DressedSet:
     """Solve the full dressed set at the Fermi boundary fixed by eps(+-q)=0."""
-    op = find_fermi_boundary(params, n_nodes)
+    eps = find_fermi_boundary(params, n_nodes)
+    op = eps.op
     p_d1 = op.solve(_ones)
-    eps = op.solve(lambda lam: lam * lam - params.h, lambda lam: 2.0 * lam,
-                   lambda lam: 2.0 * _ones(lam))
     # eps' solves the differentiated equation with driving 2 lam; the boundary
     # terms of the integration by parts vanish because eps(+-q) = 0.
     eps_d1 = op.solve(lambda lam: 2.0 * lam, lambda lam: 2.0 * _ones(lam))

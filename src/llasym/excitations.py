@@ -78,9 +78,11 @@ class ShiftFn:
     particles z+ (anywhere in the strip) and holes z- (in [-q, q]).
 
     Each evaluation builds one weighted kernel matrix at lam and extends Z and
-    every phi(., z) from it (`NystromOperator.extend`).  nu on the dressed
-    set's own grid nodes is computed once and returned, read-only, whenever
-    the shift is called with `dressed.grid.nodes` itself.
+    every phi(., z) from it (`NystromOperator.extend`); a caller that holds
+    that matrix for nu itself, `dressed.op.weighted_kernel(lam, 0)`, passes it
+    as kzw.
+    nu on the dressed set's own grid nodes is computed once and returned,
+    read-only, whenever the shift is called with `dressed.grid.nodes` itself.
     """
 
     dressed: DressedSet
@@ -93,10 +95,10 @@ class ShiftFn:
             if np.imag(z) != 0 or not (-q - 1e-12 <= np.real(z) <= q + 1e-12):
                 raise ValueError(f"hole rapidity {z} not real in [-q, q] = [{-q}, {q}]")
 
-    def _combine(self, lam, order: int):
+    def _combine(self, lam, order: int, kzw=None):
         d = self.dressed
         charge, *phases = d.op.extend(
-            lam, order, (d.Z, *map(d.phi_solution, (*self.particles, *self.holes))))
+            lam, order, (d.Z, *map(d.phi_solution, (*self.particles, *self.holes))), kzw)
         out = -0.5 * charge
         for phase in phases[:len(self.particles)]:
             out = out - phase
@@ -110,10 +112,10 @@ class ShiftFn:
         vals.flags.writeable = False
         return vals
 
-    def __call__(self, lam):
+    def __call__(self, lam, kzw=None):
         if lam is self.dressed.grid.nodes:
             return self._on_nodes
-        return self._combine(lam, 0)
+        return self._combine(lam, 0, kzw)
 
     def d1(self, lam):
         return self._combine(lam, 1)

@@ -150,11 +150,17 @@ def cauchy_transform(values_on_grid: np.ndarray, grid: QuadGrid, z) -> np.ndarra
     return quot.sum(axis=1) / (2j * np.pi)
 
 
-def c0_double_integral(nu, grid: QuadGrid, c: float) -> complex:
-    """C0[nu] = -int int nu(lam) nu(mu) (lam - mu - ic)^{-2} dlam dmu (real for real nu)."""
-    vals = np.asarray(nu(grid.nodes), dtype=complex)
+def c0_matrix(grid: QuadGrid, c: float) -> np.ndarray:
+    """(lam_j - lam_k - ic)^{-2} on the grid's nodes: the matrix of C0[nu]."""
     inv_sq = grid.nodes[:, None] - grid.nodes[None, :] - 1j * c
     np.square(inv_sq, out=inv_sq)
     np.divide(1.0, inv_sq, out=inv_sq)
+    return inv_sq
+
+
+def c0_double_integral(nu, grid: QuadGrid, inv_sq: np.ndarray) -> complex:
+    """C0[nu] = -int int nu(lam) nu(mu) (lam - mu - ic)^{-2} dlam dmu (real for real nu),
+    with inv_sq = `c0_matrix(grid, c)`."""
+    vals = np.asarray(nu(grid.nodes), dtype=complex)
     wv = grid.weights * vals
     return complex(-(wv @ inv_sq @ wv))

@@ -288,3 +288,79 @@ def test_memoised_amplitudes_equal_a_fresh_computation():
     assert reused.keys() == fresh.keys() == {"saddle", "two_pF", "zero_freq"}
     for label in fresh:
         assert repr(reused[label].raw) == repr(fresh[label].raw)
+
+
+def _contour_kernels(monkeypatch, n_nodes):
+    """Shapes of every `amplitudes.lieb_kernel` argument, and the n x n ones among them."""
+    shapes, kernel = [], amplitudes.lieb_kernel
+    monkeypatch.setattr(amplitudes, "lieb_kernel",
+                        lambda lam, *a, **k: shapes.append(np.shape(lam)) or kernel(lam, *a, **k))
+    return shapes, lambda: [s for s in shapes if s == (n_nodes, n_nodes)]
+
+
+def _arrays_held(root) -> list:
+    """Every numpy array reachable from root through attributes, dicts, lists and tuples."""
+    stack, seen, out = [root], set(), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            out.append(obj)
+        elif isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple)):
+            stack += obj
+        elif hasattr(obj, "__dict__"):
+            stack += vars(obj).values()
+    return out
+
+
+def test_one_contour_kernel_per_expansion_and_none_kept(monkeypatch):
+    """The three amplitudes of an expansion share one Contour: one n x n kernel,
+    released with the amplitudes; a later time-like ray takes both of its
+    amplitudes from the memo and builds no contour matrix."""
+    n = default_contour(dress_all(ModelParams(1.0, 1.0))).n_nodes
+    shapes, square = _contour_kernels(monkeypatch, n)
+    report = assemble_expansion(ModelParams(1.0, 1.0), RATIO)
+    assert len(report.amplitudes) == 3 and len(square()) == 1
+    held = _arrays_held((report, report.dressed))
+    assert any(a.size == report.dressed.grid.n_nodes ** 2 for a in held)  # the walk reaches op.matrix
+    assert max(a.size for a in held) < n * n
+    shapes.clear()
+    weighted = []
+    monkeypatch.setattr(type(report.dressed.op), "weighted_kernel",
+                        lambda op, z, order, _wk=type(report.dressed.op).weighted_kernel:
+                        weighted.append(np.shape(z)) or _wk(op, z, order))
+    later = assemble_expansion(report.dressed, 2.0)
+    assert later.regime == "time-like" and len(later.amplitudes) == 2
+    assert shapes == [] and (n,) not in weighted
+
+
+def test_a_shared_contour_keeps_every_bit(dressed_11):
+    """Amplitudes on one Contour equal those on a fresh Contour each, bit for bit."""
+    lam0, regime = find_saddle(RATIO, dressed_11)
+    spec = default_contour(dressed_11, 128)
+    shared = amplitudes.contour_on(replace(dressed_11), spec)
+    for kind in ("empty", "minus_q", "saddle"):
+        one = amplitude(kind, shared.dressed, lam0, regime, shared)
+        own = amplitude(kind, replace(dressed_11), lam0, regime, spec)
+        assert repr(one.raw) == repr(own.raw), kind
+    with pytest.raises(ValueError, match="another dressed set"):
+        amplitude("empty", dressed_11, contour=shared)
+
+
+@pytest.mark.parametrize("c,h", [(4.0, 1.0), (1.0, 1.0)])
+def test_saddle_amplitude_tends_to_its_free_particle_limit(c, h):
+    """As t/x -> 0 the saddle lambda0 ~ x/(2t) runs off: nu_saddle -> 0 and the
+    amplitude tends to 1/(2 pi p'(inf)) = 1/(2 pi), with a deviation ~ lambda0^-2.
+    One Richardson step over lambda0 ~ 2,500 and 5,000 gives the limit to 1e-8."""
+    d = dress_all(ModelParams(c, h))
+    values = []
+    for ratio in (1 / 5000, 1 / 10000):
+        lam0, regime = find_saddle(ratio, d)
+        assert regime == "space-like" and 0.4 / ratio < lam0 < 0.6 / ratio
+        values.append(2.0 * np.pi * amplitude("saddle", d, lam0, regime).value)
+    assert 3.9 < (values[0] - 1.0) / (values[1] - 1.0) < 4.1  # the lambda0^-2 law
+    assert abs((4.0 * values[1] - values[0]) / 3.0 - 1.0) < 1e-8

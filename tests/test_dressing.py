@@ -216,7 +216,7 @@ def _count_eps_calls(monkeypatch, eps_at_q):
 def test_fermi_boundary_root_and_solve_count(monkeypatch, c, h, n_nodes):
     params, eps_at_q = ModelParams(c=c, h=h), dressing._eps_at_q
     calls = _count_eps_calls(monkeypatch, eps_at_q)
-    q = find_fermi_boundary(params, n_nodes=n_nodes).grid.q
+    q = find_fermi_boundary(params, n_nodes=n_nodes).op.grid.q
     assert len(calls) <= 12
     assert abs(eps_at_q(q, params, n_nodes)[0]) <= 1e-12
     assert eps_at_q(q * (1 - 1e-12), params, n_nodes)[0] < 0 < eps_at_q(q * (1 + 1e-12), params, n_nodes)[0]
@@ -291,6 +291,26 @@ def test_dress_all_reuses_the_operator_of_the_fermi_search(monkeypatch, c, h):
     assert fresh.matrix.tobytes() == d.op.matrix.tobytes()
     eps = fresh.solve(lambda lam: lam * lam - params.h)
     assert eps.values.tobytes() == d.eps.values.tobytes()
+
+
+@pytest.mark.parametrize("c,h", [(1.0, 1.0), (4.0, 1.0), (0.5, 4.0), (64.0, 0.5)])
+def test_dress_all_keeps_the_eps_solve_of_the_fermi_search(monkeypatch, c, h):
+    """One solve per eps(q) of the search, then p' and eps' only: the dressed
+    eps is the search's last solve, with the driving derivatives g' and g''."""
+    eps_calls = _count_eps_calls(monkeypatch, dressing._eps_at_q)
+    solves, solve = [], dressing.NystromOperator.solve
+    monkeypatch.setattr(dressing.NystromOperator, "solve",
+                        lambda op, *g: solves.append(op) or solve(op, *g))
+    d = dress_all(ModelParams(c=c, h=h))
+    assert len(solves) == len(eps_calls) + 2
+    assert d.eps.op is d.op
+    monkeypatch.undo()
+    fresh = d.op.solve(lambda lam: lam * lam - h, lambda lam: 2.0 * lam,
+                       lambda lam: np.full(np.shape(lam), 2.0))
+    z = np.linspace(-2.0 * d.q, 2.0 * d.q, 7)
+    for order in (0, 1, 2):
+        got, want = (d.op.extend(z, order, (s,))[0] for s in (d.eps, fresh))
+        assert got.tobytes() == want.tobytes(), order
 
 
 _NYSTROM_MATRIX = dressing.nystrom_matrix
