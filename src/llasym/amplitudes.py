@@ -24,11 +24,19 @@ w_k = dw/dtheta * dtheta).  The ellipse must stay inside the analyticity
 strip |Im z| <= c/4 and keep a margin from the segment [-q, q].
 
 Every matrix an amplitude takes from its dressed set and contour alone lives on
-a `Contour`, built on first use: the nodes and weights, the kernel
-K(w_j - w_k), the Nystrom extension matrix of nu at the nodes, the matrix of
-C0[nu] and the grids of B's antisymmetric double integral.  The amplitudes of
-one expansion share one Contour, which goes with them: it is never kept on
-the dressed set, whose life can be long.
+a `Contour`, built on first use: the nodes and weights, low-rank factors
+K(w_j - w_k) ~ U V of the kernel on the nodes, the Nystrom extension matrix of
+nu at the nodes, the matrix of C0[nu] and the grids of B's antisymmetric
+double integral.  The amplitudes of one expansion share one Contour, which
+goes with them: it is never kept on the dressed set, whose life can be long.
+
+K is analytic on the contour, so its numerical rank r is far below the node
+count n: median about 15 on the benchmark's (c, h) box at n = 256, 73 at
+c = h = 1.  Adaptive cross approximation builds U and V from r columns of K in
+O(n r^2), never forming K, and Sylvester's identity turns det(I + V) into an
+r x r determinant.  Where the rank passes a cap (weak coupling, g = c/sqrt(h)
+below about 0.85 at 256 nodes) the determinant is the n x n LU on K, as it was
+before the factors.
 
 Only det(I + V) is factorised: det(I + Vbar) is its complex conjugate.  The
 shift function of real particles and holes is real on the real axis, so
@@ -53,6 +61,10 @@ from .specfun import barnes_g_log, c0_double_integral, c0_matrix, cauchy_transfo
 CONTOUR_NODES = 256  # trapezoid nodes of the default contour
 _EDGE_RESONANCE_TOL = 1e-8  # pole guard of 1/(e^{-2 i pi nu(+-q)} - 1) in A+ and A-
 _NODE_RESONANCE_TOL = 1e-6  # pole guard of 1/(e^{+-2 i pi nu(w)} - 1) on the contour nodes
+_CROSS_TOL = 1e-15  # the cross may stop once a rank adds less than tol |U V|_F
+_CROSS_MAX_RANK = 96  # past this rank the full LU is cheaper: it is taken instead
+_CROSS_CHECK_ROWS = 16  # rows of K - U V recomputed where the cross would stop
+_CROSS_CHECK_TOL = 1e-14  # bound on their largest entry, relative to max |K| on them
 
 
 class ResonanceError(ValueError):
@@ -109,14 +121,16 @@ class Contour:
     alone, built on first use and read-only:
 
     nodes_weights  : the nodes omega and complex trapezoid weights dw of the spec;
-    kernel         : K(omega_j - omega_k), for det(I + V);
+    factors        : (U, V), n x r and r x n, with K(omega_j - omega_k) ~ U V, for
+                     det(I + V); None where the full LU is taken instead;
     extension      : w_k K(omega_j - lam_k), the Nystrom extension matrix of nu(omega);
     c0             : (lam_j - lam_k - ic)^{-2} on the grid, for C0[nu];
     antisymmetric  : B's (n+1)-node grid mu and the denominators lam_j - mu_k.
 
-    Each enters the amplitude through the operations of its former per-call
-    build, so sharing one Contour changes no bit.  It lives as long as its
-    caller holds it; an amplitude from the memo builds nothing.
+    Each matrix but the factors enters the amplitude through the operations of
+    its former per-call build, so sharing one Contour changes no bit.  It
+    lives as long as its caller holds it; an amplitude from the memo builds
+    nothing.
     """
 
     def __init__(self, dressed: DressedSet, spec: ContourSpec):
@@ -128,10 +142,8 @@ class Contour:
         return tuple(map(_read_only, self.spec.nodes_weights()))
 
     @cached_property
-    def kernel(self) -> np.ndarray:
-        omega = self.nodes_weights[0]
-        kmat = omega[:, None] - omega[None, :]
-        return _read_only(lieb_kernel(kmat, self.dressed.params, out=kmat))
+    def factors(self) -> tuple | None:
+        return _cross_factors(self.nodes_weights[0], self.dressed.params)
 
     @cached_property
     def extension(self) -> np.ndarray:
@@ -244,11 +256,75 @@ def _antisymmetric_double_integral(nu: ShiftFn, contour: Contour) -> float:
 # smooth part
 # ----------------------------------------------------------------------
 
-def fredholm_det_contour(prefactor: np.ndarray, kernel_matrix: np.ndarray, weights: np.ndarray) -> complex:
-    """det(I + V) with V(w_j, w_k) = prefactor(w_j) kernel(w_j, w_k), measure dw."""
-    m = prefactor[:, None] * kernel_matrix
-    m *= weights
-    m.flat[::len(weights) + 1] += 1.0
+def _cross_factors(omega: np.ndarray, params) -> tuple | None:
+    """(U, V) with K(omega_j - omega_k) ~ U V, by adaptive cross approximation
+    (Bebendorf, Numer. Math. 86 (2000) 565) in its symmetric form: O(n r^2), one
+    column of K per rank, K itself never formed.
+
+    K is complex symmetric (K(-x) = K(x)), so row i is column i and the cross can
+    take the same rows as columns: step k adds the residual column u_k of a
+    pivot i and its diagonal entry d_k, K ~ sum_k u_k u_k^T / d_k, so U holds the
+    u_k and V the u_k^T / d_k.  The residual's diagonal is kept (K(0) less
+    sum_k u_k^2 / d_k), and the next pivot is its largest entry off the pivots
+    taken.  Once |u_k|^2 / |d_k| is below _CROSS_TOL times the estimate
+    (sum_l |u_l|^4 / |d_l|^2)^{1/2} of |U V|_F, K - U V is recomputed on
+    _CROSS_CHECK_ROWS spread rows: the cross ends if it is below
+    _CROSS_CHECK_TOL max |K| there, and goes on from the worst of them if not
+    (the estimate alone can stop on a plateau).  None, so the full LU
+    instead, past _CROSS_MAX_RANK.
+    """
+    n = len(omega)
+    ut = np.empty((min(_CROSS_MAX_RANK, n), n), complex)  # U's columns as rows
+    inv_d = np.empty(len(ut), complex)
+    taken = np.zeros(n, bool)
+    rows = np.arange(_CROSS_CHECK_ROWS) * n // _CROSS_CHECK_ROWS + n // (2 * _CROSS_CHECK_ROWS)
+    check = lieb_kernel(omega[rows, None] - omega, params)
+    bound = _CROSS_CHECK_TOL * np.abs(check).max()
+    diag = np.full(n, lieb_kernel(0.0, params), complex)
+    i, norm2 = 0, 0.0
+    for k in range(len(ut)):
+        taken[i] = True
+        col = lieb_kernel(omega - omega[i], params, out=ut[k])
+        col -= (ut[:k, i] * inv_d[:k]) @ ut[:k]
+        inv_d[k] = 1.0 / col[i]
+        diag -= col * col * inv_d[k]
+        size = (np.vdot(col, col).real * abs(inv_d[k])) ** 2
+        norm2 += size
+        if size <= _CROSS_TOL**2 * norm2:
+            v = inv_d[:k + 1, None] * ut[:k + 1]
+            miss = np.abs(check - ut[:k + 1, rows].T @ v).max(axis=1)
+            if miss.max() <= bound:
+                return _read_only(ut[:k + 1].T), _read_only(v)
+            i = int(rows[np.argmax(miss)])
+        else:
+            mag = np.abs(diag)
+            mag[taken] = -1.0
+            i = int(np.argmax(mag))
+    return None
+
+
+def fredholm_det_contour(prefactor: np.ndarray, contour: Contour) -> complex:
+    """det(I + V) with V(w_j, w_k) = prefactor(w_j) K(w_j - w_k), measure dw, on the
+    contour's nodes.
+
+    With the contour's factors K ~ U V, Sylvester's identity gives
+    det(I + P U V W) = det(I_r + V W P U), an r x r determinant (P the
+    prefactor, W the weights).  Without them (no cross within _CROSS_MAX_RANK)
+    it is the n x n LU on K(w_j - w_k), with the bits the determinant had
+    before the factors; K is then built for each call and not kept, so a
+    512-node fallback holds two n x n arrays at its peak, not three.
+    """
+    w = contour.nodes_weights[1]
+    if contour.factors is None:
+        omega = contour.nodes_weights[0]
+        m = omega[:, None] - omega[None, :]
+        lieb_kernel(m, contour.dressed.params, out=m)
+        np.multiply(prefactor[:, None], m, out=m)  # prefactor * K, in that order: the bits depend on it
+        m *= w
+    else:
+        u, v = contour.factors
+        m = (v * (w * prefactor)) @ u
+    m.flat[::len(m) + 1] += 1.0
     return complex(np.linalg.det(m))
 
 
@@ -281,8 +357,8 @@ def smooth_part_G(
     det(I + V) is computed.  That needs nu real on the real axis, so a shift
     function with a non-real particle or hole raises ValueError.
 
-    The nodes, K, the extension matrix of nu(w) and C0's matrix come from the
-    Contour on (dressed, spec); a ContourSpec gets a Contour of its own.
+    The nodes, K's factors, the extension matrix of nu(w) and C0's matrix come
+    from the Contour on (dressed, spec); a ContourSpec gets a Contour of its own.
     """
     contour = contour_on(dressed, contour)
     q, c = dressed.q, dressed.params.c
@@ -313,7 +389,7 @@ def smooth_part_G(
                            / ((mp - mp - 1j * c) * (mh - mh - 1j * c)))
 
     # one Fredholm determinant on the contour: det(I + Vbar) is its conjugate
-    omega, w = contour.nodes_weights
+    omega = contour.nodes_weights[0]
     nu_omega = np.asarray(nu(omega, contour.extension), dtype=complex)
     c2_omega, c2_up = (2j * np.pi * cauchy_transform(nu_grid, grid, z)
                        for z in (omega, omega + 1j * c))
@@ -329,7 +405,7 @@ def smooth_part_G(
         rat = rat * (omega - mp) * (omega - mh + ic) / ((omega - mh) * (omega - mp + ic))
     pre = (-1.0 / (2.0 * np.pi)) * (omega - q) / (omega - q + ic) * rat \
         * np.exp(c2_omega - c2_up) / res_m
-    det_v = fredholm_det_contour(pre, contour.kernel, w)
+    det_v = fredholm_det_contour(pre, contour)
 
     return complex(np.exp(log_pref) * det_v * np.conj(det_v) / dressed.det_IK**2)
 

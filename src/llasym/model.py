@@ -39,7 +39,7 @@ class ModelParams:
 
 
 def _check_strip(lam, c: float) -> None:
-    im = np.max(np.abs(np.imag(np.asarray(lam, dtype=complex))))
+    im = np.abs(np.asarray(lam, dtype=complex).imag).max()
     if im >= c:
         raise StripError(f"|Im lam| = {im} >= c = {c}")
 
@@ -64,7 +64,7 @@ def bare_phase(lam, params: ModelParams):
 def _inexact(lam) -> np.ndarray:
     """lam as an array of floating type (integers become float64)."""
     lam = np.asarray(lam)
-    return lam if np.issubdtype(lam.dtype, np.inexact) else lam.astype(float)
+    return lam if lam.dtype.kind in "fc" else lam.astype(float)
 
 
 def lieb_kernel(lam, params: ModelParams, out=None):

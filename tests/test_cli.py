@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +63,22 @@ def test_golden(cmd, cfg, golden):
     res = run_cli(cmd, "--config", str(DATA / cfg))
     assert res.returncode == 0, res.stderr
     assert_golden(res.stdout, golden)
+
+
+@pytest.mark.parametrize("cfg", ["asym_c1", "asym_tl"])
+def test_bytes_do_not_depend_on_the_blas_thread_count(cfg):
+    """`asymptotics` and `amplitudes` print the same bytes on one OpenBLAS thread
+    and on two: the contour determinants are r x r with r within the cap, and
+    OpenBLAS gives determinants that small the same bits at either count."""
+    out = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        runs = [subprocess.run([sys.executable, "-m", "llasym.cli", cmd, "--config", str(DATA / f"{cfg}.cfg")],
+                               capture_output=True, text=True, env=env)
+                for cmd in ("asymptotics", "amplitudes")]
+        assert all(r.returncode == 0 for r in runs), [r.stderr for r in runs]
+        out[threads] = [r.stdout for r in runs]
+    assert out["1"] == out["2"]
 
 
 def test_thread_count_does_not_change_output():
