@@ -26,9 +26,11 @@ strip |Im z| <= c/4 and keep a margin from the segment [-q, q].
 Every matrix an amplitude takes from its dressed set and contour alone lives on
 a `Contour`, built on first use: the nodes and weights, low-rank factors
 K(w_j - w_k) ~ U V of the kernel on the nodes, the Nystrom extension matrix of
-nu at the nodes, the matrix of C0[nu] and the grids of B's antisymmetric
-double integral.  The amplitudes of one expansion share one Contour, which
-goes with them: it is never kept on the dressed set, whose life can be long.
+nu at the nodes, the matrix that takes nu's grid values to the exponent
+C[2 i pi nu](w) - C[2 i pi nu](w + ic) of V at the nodes, the matrix of C0[nu]
+and the grids of B's antisymmetric double integral.  The amplitudes of one
+expansion share one Contour, which goes with them: it is never kept on the
+dressed set, whose life can be long.
 
 K is analytic on the contour, so its numerical rank r is far below the node
 count n: median about 15 on the benchmark's (c, h) box at n = 256, 73 at
@@ -55,7 +57,15 @@ import numpy as np
 from .dressing import STRIP, DressedSet, QuadGrid
 from .excitations import TERMS, ShiftFn, active_terms, ledger_exponents, special_shift
 from .model import lieb_kernel
-from .specfun import barnes_g_log, c0_double_integral, c0_matrix, cauchy_transform, gamma, log_kappa
+from .specfun import (
+    barnes_g_log,
+    c0_double_integral,
+    c0_matrix,
+    cauchy_shift_matrix,
+    cauchy_transform,
+    gamma,
+    log_kappa,
+)
 
 
 CONTOUR_NODES = 256  # trapezoid nodes of the default contour
@@ -124,13 +134,16 @@ class Contour:
     factors        : (U, V), n x r and r x n, with K(omega_j - omega_k) ~ U V, for
                      det(I + V); None where the full LU is taken instead;
     extension      : w_k K(omega_j - lam_k), the Nystrom extension matrix of nu(omega);
+    cauchy_shift   : w_k [1/(lam_k - omega_j) - 1/(lam_k - omega_j - ic)], so
+                     C[2 i pi nu](omega) - C[2 i pi nu](omega + ic) is one
+                     matrix-vector product on nu's grid values;
     c0             : (lam_j - lam_k - ic)^{-2} on the grid, for C0[nu];
     antisymmetric  : B's (n+1)-node grid mu and the denominators lam_j - mu_k.
 
-    Each matrix but the factors enters the amplitude through the operations of
-    its former per-call build, so sharing one Contour changes no bit.  It
-    lives as long as its caller holds it; an amplitude from the memo builds
-    nothing.
+    Each matrix but the factors and cauchy_shift enters the amplitude through
+    the operations of its former per-call build, and a shared Contour gives
+    each amplitude the bits of a Contour of its own.  It lives as long as its
+    caller holds it; an amplitude from the memo builds nothing.
     """
 
     def __init__(self, dressed: DressedSet, spec: ContourSpec):
@@ -148,6 +161,11 @@ class Contour:
     @cached_property
     def extension(self) -> np.ndarray:
         return _read_only(self.dressed.op.weighted_kernel(self.nodes_weights[0], 0))
+
+    @cached_property
+    def cauchy_shift(self) -> np.ndarray:
+        return _read_only(cauchy_shift_matrix(
+            self.dressed.grid, self.nodes_weights[0], self.dressed.params.c))
 
     @cached_property
     def c0(self) -> np.ndarray:
@@ -357,8 +375,11 @@ def smooth_part_G(
     det(I + V) is computed.  That needs nu real on the real axis, so a shift
     function with a non-real particle or hole raises ValueError.
 
-    The nodes, K's factors, the extension matrix of nu(w) and C0's matrix come
-    from the Contour on (dressed, spec); a ContourSpec gets a Contour of its own.
+    The nodes, K's factors, the extension matrix of nu(w), the matrix of
+    C[2 i pi nu](w) - C[2 i pi nu](w + ic) and C0's matrix come from the
+    Contour on (dressed, spec); a ContourSpec gets a Contour of its own.  The
+    Cauchy transforms at the points q + e ic and mu + e ic are
+    `cauchy_transform` calls.
     """
     contour = contour_on(dressed, contour)
     q, c = dressed.q, dressed.params.c
@@ -391,8 +412,7 @@ def smooth_part_G(
     # one Fredholm determinant on the contour: det(I + Vbar) is its conjugate
     omega = contour.nodes_weights[0]
     nu_omega = np.asarray(nu(omega, contour.extension), dtype=complex)
-    c2_omega, c2_up = (2j * np.pi * cauchy_transform(nu_grid, grid, z)
-                       for z in (omega, omega + 1j * c))
+    c2_shift = contour.cauchy_shift @ nu_grid  # C[2 i pi nu](w) - C[2 i pi nu](w + ic)
 
     res_m = np.exp(-2j * np.pi * nu_omega) - 1.0
     res_p = np.exp(2j * np.pi * nu_omega) - 1.0
@@ -404,7 +424,7 @@ def smooth_part_G(
     if pair is not None:
         rat = rat * (omega - mp) * (omega - mh + ic) / ((omega - mh) * (omega - mp + ic))
     pre = (-1.0 / (2.0 * np.pi)) * (omega - q) / (omega - q + ic) * rat \
-        * np.exp(c2_omega - c2_up) / res_m
+        * np.exp(c2_shift) / res_m
     det_v = fredholm_det_contour(pre, contour)
 
     return complex(np.exp(log_pref) * det_v * np.conj(det_v) / dressed.det_IK**2)

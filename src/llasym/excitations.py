@@ -216,10 +216,11 @@ class ShiftValues(NamedTuple):
 
 def ledger_sides(dressed: DressedSet, lambda0: float) -> tuple:
     """(Z, phi(., -q), phi(., q), phi(., lambda0)) at +q, then at -q: the eight
-    boundary values that every D+- of the ledger combines."""
+    boundary values that every D+- of the ledger combines, each side from one
+    extension of the four solutions."""
     q = dressed.q
-    return tuple((float(dressed.Z(lam)), *(float(dressed.phi(lam, m)) for m in (-q, q, lambda0)))
-                 for lam in (q, -q))
+    sols = (dressed.Z, *(dressed.phi_solution(m) for m in (-q, q, lambda0)))
+    return tuple(tuple(map(float, dressed.op.extend(lam, 0, sols))) for lam in (q, -q))
 
 
 def ledger_shifts(pairs, sides: tuple) -> list[ShiftValues]:

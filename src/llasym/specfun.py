@@ -7,6 +7,7 @@
   recurrence G(z+1) = Gamma(z) G(z),
 * the log of the regularisation kappa[nu](lam) = exp{-int (nu(lam)-nu(mu))/(lam-mu) dmu},
 * the Cauchy transform C[f](z) = (2 i pi)^{-1} int f(mu)/(mu-z) dmu from f's grid values,
+  and the matrix of C[2 i pi f](z) - C[2 i pi f](z + ic) on an array of points z,
 * the double integral C0[nu] = -int int nu(lam) nu(mu) (lam - mu - ic)^{-2}.
 
 All integrals are over [-q, q] on the Gauss-Legendre grid of the dressed set.
@@ -51,6 +52,8 @@ _SIGNS = (-1.0) ** (_KS - 1.0)
 # the domains: |x| <= GAMMA_MAX for gamma, LGAM_MIN <= x < LGAM_MAX for lgam and
 # LGAM_MIN <= x < BARNES_G_MAX for barnes_g_log
 GAMMA_MAX, LGAM_MIN, LGAM_MAX, BARNES_G_MAX = 33.0, -33.0, 13.0, 14.0
+# rows per block of cauchy_shift_matrix: 64 x 96 complex is 98 KB
+_SHIFT_ROWS = 64
 
 
 def gamma(x: float) -> float:
@@ -141,13 +144,35 @@ def cauchy_transform(values_on_grid: np.ndarray, grid: QuadGrid, z) -> np.ndarra
     lies within 1e-3 q of the segment [-q, q].
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    q = grid.q
-    dist = np.min(np.abs(z - np.clip(z.real, -q, q)))  # to the nearest point of [-q, q]
-    if dist < 1e-3 * q:
-        raise ValueError(f"cauchy_transform: a point lies {dist:.4g} from [-q, q], within 1e-3 q")
+    _check_off_segment(z, grid.q)
     quot = grid.nodes[None, :] - z[:, None]
     np.divide((grid.weights * values_on_grid)[None, :], quot, out=quot)
     return quot.sum(axis=1) / (2j * np.pi)
+
+
+def cauchy_shift_matrix(grid: QuadGrid, z: np.ndarray, c: float) -> np.ndarray:
+    """w_k [1/(mu_k - z_j) - 1/(mu_k - z_j - ic)] on the grid's nodes mu_k: the
+    matrix that takes f's grid values to C[2 i pi f](z) - C[2 i pi f](z + ic),
+    with `cauchy_transform`'s ValueError at z, then at z + ic.  Built in blocks
+    of _SHIFT_ROWS rows, so its peak is the matrix and one block."""
+    for points in (z, z + 1j * c):
+        _check_off_segment(points, grid.q)
+    out = np.empty((len(z), len(grid.nodes)), complex)
+    for s in range(0, len(z), _SHIFT_ROWS):
+        inv = out[s:s + _SHIFT_ROWS]
+        np.subtract(grid.nodes[None, :], z[s:s + _SHIFT_ROWS, None], out=inv)
+        inv_up = inv - 1j * c
+        np.divide(1.0, inv, out=inv)
+        np.divide(1.0, inv_up, out=inv_up)
+        inv -= inv_up
+        inv *= grid.weights
+    return out
+
+
+def _check_off_segment(z: np.ndarray, q: float) -> None:
+    dist = np.min(np.abs(z - np.clip(z.real, -q, q)))  # to the nearest point of [-q, q]
+    if dist < 1e-3 * q:
+        raise ValueError(f"cauchy_transform: a point lies {dist:.4g} from [-q, q], within 1e-3 q")
 
 
 def c0_matrix(grid: QuadGrid, c: float) -> np.ndarray:

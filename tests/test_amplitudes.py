@@ -138,17 +138,53 @@ def test_smooth_part_rejects_a_hole_outside_the_segment(dressed_11):
 
 
 def test_smooth_part_takes_each_cauchy_transform_from_specfun(monkeypatch, dressed_11):
-    """G_0 transforms at q +- ic (one call) and on the contour and its shift by
-    +ic (two); a pair adds its particle and its hole at +-ic (four)."""
+    """G_0 transforms at q +- ic (one call); a pair adds its particle and its hole
+    at +-ic (four).  On the contour nodes no transform is called: the Contour's
+    matrix gives C[2 i pi nu](w) - C[2 i pi nu](w + ic)."""
     d = dressed_11
     calls = []
     monkeypatch.setattr(amplitudes, "cauchy_transform",
                         lambda *a: calls.append(a) or cauchy_transform(*a))
     smooth_part_G(special_shift("empty", d), d, None, default_contour(d))
-    assert len(calls) == 3
+    assert len(calls) == 1
+    points = [np.size(z) for _, _, z in calls]
     calls.clear()
     smooth_part_G(special_shift("minus_q", d), d, (-d.q, d.q), default_contour(d))
-    assert len(calls) == 7
+    assert len(calls) == 5
+    points += [np.size(z) for _, _, z in calls]
+    assert max(points) == 2
+
+
+def _cauchy_shift_reference(nu_grid, grid, omega, c) -> np.ndarray:
+    """sum_k w_k nu_k [1/(lam_k - w_j) - 1/(lam_k - w_j - ic)] in np.clongdouble
+    from the same double inputs."""
+    ld = np.longdouble
+    diff = grid.nodes.astype(ld)[None, :] - omega.astype(np.clongdouble)[:, None]
+    kernel = (1 / diff - 1 / (diff - 1j * ld(c))) * grid.weights.astype(ld)
+    return kernel @ nu_grid.astype(np.clongdouble)
+
+
+@pytest.mark.parametrize("c,h", [(0.9, 1.0), (1.0, 1.0), (4.0, 1.0), (16.0, 2.0), (50.0, 2.8)])
+def test_contour_cauchy_shift_matches_two_transforms(c, h):
+    """The Contour's matrix gives C[2 i pi nu](w) - C[2 i pi nu](w + ic), for the
+    three shift functions of an expansion at 256 and 512 nodes: within 1e-14 of
+    its maximum of the two `cauchy_transform` calls it replaces, and within
+    2e-15 of an extended-precision evaluation of the same sum."""
+    d = dress_all(ModelParams(c, h))
+    lam0, _ = find_saddle(RATIO, d)
+    for n in (256, 512):
+        contour = amplitudes.contour_on(d, default_contour(d, n))
+        omega = contour.nodes_weights[0]
+        assert contour.cauchy_shift.shape == (n, d.grid.n_nodes)
+        for kind in ("empty", "minus_q", "saddle"):
+            nu_grid = np.asarray(special_shift(kind, d, lam0)(d.grid.nodes), float)
+            got = contour.cauchy_shift @ nu_grid
+            two = (2j * np.pi * cauchy_transform(nu_grid, d.grid, omega)
+                   - 2j * np.pi * cauchy_transform(nu_grid, d.grid, omega + 1j * c))
+            ref = _cauchy_shift_reference(nu_grid, d.grid, omega, c)
+            size = float(np.max(np.abs(ref)))
+            assert np.max(np.abs(got - two)) <= 1e-14 * size, (n, kind)
+            assert float(np.max(np.abs(got.astype(np.clongdouble) - ref))) <= 2e-15 * size, (n, kind)
 
 
 def _det_vbar(nu, d, pair, contour) -> complex:
@@ -319,21 +355,25 @@ def _arrays_held(root) -> list:
 
 def test_one_contour_kernel_per_expansion_and_none_kept(monkeypatch):
     """The three amplitudes of an expansion share one Contour: one cross
-    factorisation of the contour kernel and no n x n kernel, released with the
-    amplitudes; a later time-like ray takes both of its amplitudes from the memo
-    and builds no contour matrix."""
+    factorisation of the contour kernel, no n x n kernel and one Cauchy shift
+    matrix, released with the amplitudes; a later time-like ray takes both of
+    its amplitudes from the memo and builds no contour matrix."""
     n = default_contour(dress_all(ModelParams(1.0, 1.0))).n_nodes
     shapes, square = _contour_kernels(monkeypatch, n)
     crosses, cross = [], amplitudes._cross_factors
     monkeypatch.setattr(amplitudes, "_cross_factors",
                         lambda *a: crosses.append(cross(*a)) or crosses[-1])
+    shifts, shift = [], amplitudes.cauchy_shift_matrix
+    monkeypatch.setattr(amplitudes, "cauchy_shift_matrix",
+                        lambda *a: shifts.append(shift(*a)) or shifts[-1])
     report = assemble_expansion(ModelParams(1.0, 1.0), RATIO)
     assert len(report.amplitudes) == 3 and len(crosses) == 1 and square() == []
+    assert len(shifts) == 1 and shifts[0].shape == (n, report.dressed.grid.n_nodes)
     u, v = crosses[0]
     held = _arrays_held((report, report.dressed))
     assert any(a.size == report.dressed.grid.n_nodes ** 2 for a in held)  # the walk reaches op.matrix
     assert max(a.size for a in held) < n * n
-    assert not any(a is f or a.base is f for a in held for f in (u, v, u.base))
+    assert not any(a is f or a.base is f for a in held for f in (u, v, u.base, shifts[0]))
     shapes.clear()
     weighted = []
     monkeypatch.setattr(type(report.dressed.op), "weighted_kernel",
@@ -341,7 +381,7 @@ def test_one_contour_kernel_per_expansion_and_none_kept(monkeypatch):
                         weighted.append(np.shape(z)) or _wk(op, z, order))
     later = assemble_expansion(report.dressed, 2.0)
     assert later.regime == "time-like" and len(later.amplitudes) == 2
-    assert shapes == [] and (n,) not in weighted and len(crosses) == 1
+    assert shapes == [] and (n,) not in weighted and len(crosses) == 1 and len(shifts) == 1
 
 
 def _full_lu_det(pre, contour) -> complex:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from llasym import (
@@ -251,6 +251,24 @@ def test_scale_covariance_of_amplitudes_and_rho(c, h, ratio, s):
     grid and kernel value exactly: q, vF and lambda0 scale by s bit for bit,
     each edge amplitude by s^(1 - e+ - e-), the saddle amplitude by s^(-e+ - e-)
     and rho(x/s, t/s^2) = s rho(x, t), the last three to rounding."""
+    _assert_scale_covariant(c, h, ratio, s)
+
+
+@given(log_c=st.floats(np.log(0.5), np.log(64.0)), log_h=st.floats(np.log(0.5), np.log(4.0)),
+       space_like=st.booleans(), band_point=st.floats(0.0, 1.0), s=st.sampled_from([0.5, 2.0]))
+@settings(max_examples=12, derandomize=True, deadline=None)
+def test_scale_covariance_over_the_sweep_box(log_c, log_h, space_like, band_point, s):
+    """The covariance above on the `sweep` benchmark's box (c in [0.5, 64], h in
+    [0.5, 4], t/x in [0.02, 0.2] or [1.2, 4]) where g = c/sqrt(h) >= 0.85, off the
+    band g in [2.0, 2.16] where the default contour meets a near-resonance."""
+    c, h = float(np.exp(log_c)), float(np.exp(log_h))
+    g = c / np.sqrt(h)
+    assume(g >= 0.85 and not 2.0 <= g <= 2.16)
+    lo, hi = (0.02, 0.2) if space_like else (1.2, 4.0)
+    _assert_scale_covariant(c, h, lo + band_point * (hi - lo), s)
+
+
+def _assert_scale_covariant(c, h, ratio, s):
     base = assemble_expansion(ModelParams(c=c, h=h), ratio)
     scaled = assemble_expansion(ModelParams(c=s * c, h=s * s * h), ratio / s)
     assert (scaled.q, scaled.vF, scaled.lambda0) == (s * base.q, s * base.vF, s * base.lambda0)

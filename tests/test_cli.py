@@ -65,17 +65,22 @@ def test_golden(cmd, cfg, golden):
     assert_golden(res.stdout, golden)
 
 
-@pytest.mark.parametrize("cfg", ["asym_c1", "asym_tl"])
-def test_bytes_do_not_depend_on_the_blas_thread_count(cfg):
-    """`asymptotics` and `amplitudes` print the same bytes on one OpenBLAS thread
-    and on two: the contour determinants are r x r with r within the cap, and
-    OpenBLAS gives determinants that small the same bits at either count."""
+@pytest.mark.parametrize("argvs", [
+    *(pytest.param([(cmd, "--config", str(DATA / f"{cfg}.cfg")) for cmd in ("asymptotics", "amplitudes")],
+                   id=cfg) for cfg in ("asym_c1", "asym_tl")),
+    pytest.param([("verify",)], id="verify"),
+])
+def test_bytes_do_not_depend_on_the_blas_thread_count(argvs):
+    """`asymptotics`, `amplitudes` and `verify` print the same bytes on one
+    OpenBLAS thread and on two: the contour determinants are r x r with r within
+    the cap, and OpenBLAS gives determinants that small, and the contour's
+    matrix-vector products, the same bits at either count."""
     out = {}
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-        runs = [subprocess.run([sys.executable, "-m", "llasym.cli", cmd, "--config", str(DATA / f"{cfg}.cfg")],
+        runs = [subprocess.run([sys.executable, "-m", "llasym.cli", *argv],
                                capture_output=True, text=True, env=env)
-                for cmd in ("asymptotics", "amplitudes")]
+                for argv in argvs]
         assert all(r.returncode == 0 for r in runs), [r.stderr for r in runs]
         out[threads] = [r.stdout for r in runs]
     assert out["1"] == out["2"]

@@ -20,6 +20,7 @@ from llasym.specfun import (
     barnes_g_log,
     c0_double_integral,
     c0_matrix,
+    cauchy_shift_matrix,
     cauchy_transform,
     gamma,
     lgam,
@@ -275,6 +276,15 @@ def test_cauchy_transform_distance_guard():
     # one point of the array is 1e-5 above the segment
     with pytest.raises(ValueError):
         cauchy_transform(_Const(1.0)(GRID.nodes), GRID, [2.0j, 0.2 + 1e-5j, 3.0])
+
+
+def test_cauchy_shift_matrix_keeps_the_distance_guard():
+    """`cauchy_transform`'s guard at z and at z + ic: a point 1e-5 above the
+    segment, then a point whose shift by +ic is."""
+    c = 1.0
+    for z in (0.2 + 1e-5j, 0.2 + (1e-5 - c) * 1j):
+        with pytest.raises(ValueError, match="within 1e-3 q"):
+            cauchy_shift_matrix(GRID, np.array([2.0j, z]), c)
 
 
 def test_cauchy_transform_on_contour_like_points():
